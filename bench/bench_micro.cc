@@ -398,8 +398,8 @@ int RunJson() {
     entries.push_back(e);
   }
 
-  // 6. Gomory–Hu cut tree: exact all-pairs min-cut structure in V-1 Dinic
-  //    solves on a shared solver. No retained baseline — the per-pair
+  // 6. Servers-only cut tree: exact all-server-pair min cuts in S-1 unit
+  //    Dinic solves on one batched engine. No retained baseline — the per-pair
   //    equivalent is quadratic in servers and was never a shipped kernel —
   //    so this row tracks absolute cost, with the solve count pinned by obs.
   {

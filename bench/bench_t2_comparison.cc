@@ -100,7 +100,7 @@ int main(int argc, char** argv) {
         metrics::SamplePathStats(*net, 12, 40, sample_rng);
     const topo::CapexReport cost = topo::EvaluateCost(*net);
     // Exact worst-pair edge connectivity over ALL server pairs, from the
-    // Gomory–Hu cut tree (V-1 max-flow solves, not servers^2).
+    // servers-only cut tree (S-1 max-flow solves, not servers^2).
     const metrics::PairCutStats cuts = metrics::AllPairsCutStats(*net);
     table.AddRow({net->Describe(), Table::Cell(net->ServerCount()),
                   Table::Cell(net->ServerPorts()), Table::Cell(net->SwitchCount()),

@@ -88,8 +88,8 @@ std::int64_t MaxFlowSolver::Solve(std::span<const NodeId> sources,
   DCN_REQUIRE(!sources.empty() && !sinks.empty(),
               "max flow needs non-empty source and sink sets");
   DCN_REQUIRE(!solved_,
-              "MaxFlowSolver::Solve needs Reset() between solves: the arc "
-              "capacities still hold the previous residual network");
+              "MaxFlowSolver is single-shot: the arc capacities still hold "
+              "the previous residual network");
   solved_ = true;
 
   const std::size_t nodes = base_node_count_ + 2;
@@ -176,19 +176,6 @@ std::int64_t MaxFlowSolver::Solve(std::span<const NodeId> sources,
   c_paths.Add(obs_paths);
   h_phases.Add(static_cast<std::int64_t>(obs_phases));
   return flow;
-}
-
-void MaxFlowSolver::Reset() { solved_ = false; }
-
-void MaxFlowSolver::MinCutSourceSide(std::vector<char>& side) const {
-  DCN_REQUIRE(solved_, "MinCutSourceSide needs a completed Solve");
-  // Solve's phase loop exits on a failed level build, so level_ already holds
-  // BFS reachability from the super source over positive-residual arcs — the
-  // canonical source side of the min cut, with no extra traversal.
-  side.assign(base_node_count_, 0);
-  for (std::size_t node = 0; node < base_node_count_; ++node) {
-    if (level_[node] >= 0) side[node] = 1;
-  }
 }
 
 std::int64_t MinCutBetween(const Graph& graph, std::span<const NodeId> side_a,

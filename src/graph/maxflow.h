@@ -1,7 +1,6 @@
-// Dinic's max-flow over the undirected network graph, used for empirical
-// bisection bandwidth and for counting edge-disjoint paths. Each undirected
-// link of capacity c is modeled as a pair of opposite arcs of capacity c,
-// which is the standard reduction for undirected flow.
+// Single-shot Dinic max-flow between two node sets of the undirected network
+// graph (empirical bisection bandwidth). Each undirected link of capacity c
+// is a pair of opposite arcs of capacity c, the standard reduction.
 #pragma once
 
 #include <cstdint>
@@ -22,28 +21,14 @@ class MaxFlowSolver {
 
   // Max flow from the set `sources` to the set `sinks` (disjoint, non-empty).
   // Source/sink attachment arcs are effectively infinite, so the answer is
-  // the min link cut. After a solve the arc capacities hold the residual
-  // network, so a second call throws until Reset() is called — the live-edge
-  // list survives, making repeated solves on one graph (Gomory–Hu, batched
-  // sampling) cheaper than rebuilding the solver.
+  // the min link cut. Single-shot: the arc capacities then hold the residual
+  // network, so a second call throws. Repeated unit-capacity solves on one
+  // graph belong to graph::EdgeConnectivityBatch.
   std::int64_t Solve(std::span<const NodeId> sources, std::span<const NodeId> sinks);
-
-  // Re-arms the solver for another Solve on the same graph/failure set. The
-  // arc arrays are rebuilt from the retained live-edge list by the next
-  // Solve, so this is O(1).
-  void Reset();
-
-  // The source side of the min cut found by the last Solve: side[n] != 0 iff
-  // base node n is reachable from the super source in the residual network.
-  // `side` is sized to the base node count. Requires a completed Solve.
-  void MinCutSourceSide(std::vector<char>& side) const;
 
  private:
   // Arcs live in a flat CSR layout (offset_ per node into parallel to_/rev_/
-  // cap_ arrays) built inside Solve once the super source/sink attachments
-  // are known — contiguous iteration instead of a vector-of-vectors pointer
-  // chase, and the level/iterator scratch is reused across Dinic phases
-  // without reallocating.
+  // cap_ arrays), built inside Solve once the terminal attachments are known.
   void AddArcPair(std::int32_t from, std::int32_t to, std::int64_t cap);
   bool BuildLevels(std::int32_t s, std::int32_t t);
   std::int64_t Augment(std::int32_t node, std::int32_t t, std::int64_t limit);

@@ -1,5 +1,6 @@
 #include "graph/paths.h"
 
+#include <algorithm>
 #include <limits>
 
 #include "common/error.h"
@@ -37,18 +38,19 @@ void AddArcPair(FlowWorkspace& ws, NodeId from, NodeId to) {
 void BuildUnitArcs(const CsrView& csr, const FailureSet* failures,
                    FlowWorkspace& ws) {
   const std::size_t nodes = csr.NodeCount();
+  const auto dead = [&](EdgeId edge) {
+    const auto [u, v] = csr.Endpoints(edge);
+    return failures != nullptr && (failures->EdgeDead(edge) ||
+                                   failures->NodeDead(u) || failures->NodeDead(v));
+  };
   ws.offset.assign(nodes + 1, 0);
   // Two passes: count live arc slots per node, prefix-sum, then fill with
   // per-node cursors. Each live edge contributes two arcs to each endpoint
   // (forward + twin residual).
   for (EdgeId edge = 0; static_cast<std::size_t>(edge) < csr.EdgeCount();
        ++edge) {
-    if (failures != nullptr && failures->EdgeDead(edge)) continue;
+    if (dead(edge)) continue;
     const auto [u, v] = csr.Endpoints(edge);
-    if (failures != nullptr &&
-        (failures->NodeDead(u) || failures->NodeDead(v))) {
-      continue;
-    }
     ws.offset[static_cast<std::size_t>(u) + 1] += 2;
     ws.offset[static_cast<std::size_t>(v) + 1] += 2;
   }
@@ -63,12 +65,8 @@ void BuildUnitArcs(const CsrView& csr, const FailureSet* failures,
   ws.flow.assign(arcs, 0);
   for (EdgeId edge = 0; static_cast<std::size_t>(edge) < csr.EdgeCount();
        ++edge) {
-    if (failures != nullptr && failures->EdgeDead(edge)) continue;
+    if (dead(edge)) continue;
     const auto [u, v] = csr.Endpoints(edge);
-    if (failures != nullptr &&
-        (failures->NodeDead(u) || failures->NodeDead(v))) {
-      continue;
-    }
     AddArcPair(ws, u, v);
     AddArcPair(ws, v, u);
   }
@@ -262,10 +260,7 @@ std::size_t EdgeConnectivityBatch::Connectivity(NodeId src, NodeId dst,
   static obs::Counter& c_reuse = obs::GetCounter("dinic/reuse_hits");
   static obs::Counter& c_level = obs::GetCounter("dinic/source_level_hits");
   c_solves.Add(1);
-  if (failures_ != nullptr &&
-      (failures_->NodeDead(src) || failures_->NodeDead(dst))) {
-    return 0;
-  }
+  last_src_ = src;
   if (first_) {
     first_ = false;
   } else {
@@ -273,25 +268,32 @@ std::size_t EdgeConnectivityBatch::Connectivity(NodeId src, NodeId dst,
     ws_.flow.assign(ws_.flow.size(), 0);
     c_reuse.Add(1);
   }
+  if (failures_ != nullptr &&
+      (failures_->NodeDead(src) || failures_->NodeDead(dst))) {
+    return 0;
+  }
 
-  const std::size_t bound = std::min(LiveDegree(ws_, src), LiveDegree(ws_, dst));
+  const std::size_t bound = std::min(LiveDegree(src), LiveDegree(dst));
   std::size_t flow = 0;
   bool phase_one = true;
   while (flow < bound) {
     bool reachable;
-    if (phase_one && cached_src_ == src) {
-      // The cached level graph was computed on pristine capacities, exactly
-      // the state the first phase of this query sees — reuse it. Cached
-      // levels are untruncated; extra depth only means the DFS may explore
-      // (and reject, side-effect-free) nodes past dst's level, which cannot
-      // change the augmenting-path sequence.
-      ws_.level.assign(ws_.level_first.begin(), ws_.level_first.end());
-      reachable = ws_.level[static_cast<std::size_t>(dst)] >= 0;
-      c_level.Add(1);
-    } else if (phase_one && repeated_source) {
-      reachable = BuildUnitLevels(ws_, nodes_, src, dst, /*truncate=*/false);
-      ws_.level_first.assign(ws_.level.begin(), ws_.level.end());
-      cached_src_ = src;
+    if (phase_one && (cached_src_ == src || repeated_source)) {
+      // The first phase sees pristine capacities, so a source's level graph
+      // is built once, untruncated, and shared by its queries; each cuts it
+      // back to its own dst's level, which is exactly the truncated build.
+      if (cached_src_ == src) {
+        c_level.Add(1);
+      } else {
+        BuildUnitLevels(ws_, nodes_, src, dst, /*truncate=*/false);
+        ws_.level_first.swap(ws_.level);
+        cached_src_ = src;
+      }
+      const int top = ws_.level_first[static_cast<std::size_t>(dst)];
+      reachable = top >= 0;
+      ws_.level.resize(nodes_);
+      std::transform(ws_.level_first.begin(), ws_.level_first.end(), ws_.level.begin(),
+                     [top](int level) { return level > top ? -1 : level; });
     } else {
       reachable = BuildUnitLevels(ws_, nodes_, src, dst, /*truncate=*/true);
     }
@@ -301,6 +303,18 @@ std::size_t EdgeConnectivityBatch::Connectivity(NodeId src, NodeId dst,
     while (AugmentUnit(ws_, src, dst)) ++flow;
   }
   return flow;
+}
+
+std::size_t EdgeConnectivityBatch::LiveDegree(NodeId node) const {
+  return graph::LiveDegree(ws_, node);
+}
+
+void EdgeConnectivityBatch::SourceSide(std::vector<char>& side) {
+  DCN_REQUIRE(last_src_ != kInvalidNode, "SourceSide needs a query first");
+  // Untruncated, so the queue ends holding every residual-reachable node.
+  BuildUnitLevels(ws_, nodes_, last_src_, last_src_, /*truncate=*/false);
+  side.assign(nodes_, 0);
+  for (const NodeId node : ws_.queue) side[static_cast<std::size_t>(node)] = 1;
 }
 
 }  // namespace dcn::graph

@@ -41,15 +41,11 @@ std::size_t EdgeConnectivity(const CsrView& csr, NodeId src, NodeId dst,
                              FlowWorkspace& ws,
                              const FailureSet* failures = nullptr);
 
-// Batched link-connectivity queries against one (graph, failure set). The
-// flat arc arrays are built once in the constructor; each query restores the
-// pristine capacities with a memcpy instead of re-scanning the edge list, so
-// a batch of Q queries pays one arc build instead of Q. Every answer is
-// bit-identical to the corresponding EdgeConnectivity call.
-//
-// Queries sorted by source get a second reuse level: pass
-// `repeated_source = true` when more queries from the same src follow, and
-// the first phase's level graph is cached and shared by the group.
+// Batched link-connectivity queries against one (graph, failure set): arcs
+// are built once and each query restores pristine capacities with a memcpy,
+// so Q queries pay one arc build instead of Q. Answers are bit-identical to
+// EdgeConnectivity. Pass `repeated_source = true` when more queries from the
+// same src follow: the first phase's level graph is then built once and shared.
 class EdgeConnectivityBatch {
  public:
   EdgeConnectivityBatch(const CsrView& csr, FlowWorkspace& ws,
@@ -58,11 +54,20 @@ class EdgeConnectivityBatch {
   std::size_t Connectivity(NodeId src, NodeId dst,
                            bool repeated_source = false);
 
+  // Live incident links of `node`, which bound any flow it terminates.
+  std::size_t LiveDegree(NodeId node) const;
+
+  // Min-cut source side of the last query: side[n] != 0 iff n is reachable
+  // from its src in the residual network (src's live component if an
+  // endpoint was dead).
+  void SourceSide(std::vector<char>& side);
+
  private:
   FlowWorkspace& ws_;
   const FailureSet* failures_;
   std::size_t nodes_;
   NodeId cached_src_ = kInvalidNode;  // source the cached levels belong to
+  NodeId last_src_ = kInvalidNode;    // source of the last query
   bool first_ = true;
 };
 

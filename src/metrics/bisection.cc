@@ -100,12 +100,12 @@ PairCutStats AllPairsCutStats(const topo::Topology& net,
   const graph::CutTree tree = graph::BuildCutTree(g, /*edge_capacity=*/1,
                                                   failures);
 
-  // Kruskal over the tree edges in descending cut order: when an edge of
-  // weight w first joins two node groups, w is the smallest weight on the
-  // tree path between every cross pair, i.e. exactly their min cut. Each
-  // union therefore accounts servers(A) x servers(B) pairs at value w, and
-  // the tree spans all nodes (cut-0 edges bridge disconnected pieces), so
-  // every unordered server pair is counted exactly once.
+  // Kruskal over the tree edges (one per non-root server) in descending cut
+  // order: when an edge of weight w first joins two server groups, w is the
+  // smallest weight on the tree path between every cross pair, i.e. exactly
+  // their min cut. Each union therefore accounts |A| x |B| pairs at value
+  // w, and the tree spans every server (cut-0 edges bridge disconnected
+  // pieces), so every unordered server pair is counted exactly once.
   const std::size_t nodes = g.NodeCount();
   std::vector<graph::NodeId> uf(nodes);
   for (std::size_t n = 0; n < nodes; ++n) uf[n] = static_cast<graph::NodeId>(n);
@@ -117,34 +117,27 @@ PairCutStats AllPairsCutStats(const topo::Topology& net,
     }
     return n;
   };
-  std::vector<std::int64_t> server_count(nodes, 0);
-  for (const graph::NodeId server : servers) {
-    server_count[static_cast<std::size_t>(server)] = 1;
-  }
-  std::vector<std::uint32_t> edge_order;
-  edge_order.reserve(nodes == 0 ? 0 : nodes - 1);
-  for (std::size_t n = 1; n < nodes; ++n) {
-    edge_order.push_back(static_cast<std::uint32_t>(n));
-  }
+  std::vector<std::int64_t> group_size(nodes, 1);
+  std::vector<graph::NodeId> edge_order(servers.begin() + 1, servers.end());
   std::stable_sort(edge_order.begin(), edge_order.end(),
-                   [&tree](std::uint32_t a, std::uint32_t b) {
-                     return tree.cut[a] > tree.cut[b];
+                   [&tree](graph::NodeId a, graph::NodeId b) {
+                     return tree.cut[static_cast<std::size_t>(a)] >
+                            tree.cut[static_cast<std::size_t>(b)];
                    });
 
   PairCutStats stats;
   stats.min_cut = std::numeric_limits<std::int64_t>::max();
   std::int64_t sum = 0;
   std::int64_t total_pairs = 0;
-  for (const std::uint32_t n : edge_order) {
-    const graph::NodeId a = find(static_cast<graph::NodeId>(n));
-    const graph::NodeId b = find(tree.parent[n]);
-    const std::int64_t cross = server_count[static_cast<std::size_t>(a)] *
-                               server_count[static_cast<std::size_t>(b)];
+  for (const graph::NodeId n : edge_order) {
+    const graph::NodeId a = find(n);
+    const graph::NodeId b = find(tree.parent[static_cast<std::size_t>(n)]);
+    const std::int64_t cross = group_size[static_cast<std::size_t>(a)] *
+                               group_size[static_cast<std::size_t>(b)];
     uf[static_cast<std::size_t>(a)] = b;
-    server_count[static_cast<std::size_t>(b)] +=
-        server_count[static_cast<std::size_t>(a)];
-    if (cross == 0) continue;
-    const std::int64_t cut = tree.cut[n];
+    group_size[static_cast<std::size_t>(b)] +=
+        group_size[static_cast<std::size_t>(a)];
+    const std::int64_t cut = tree.cut[static_cast<std::size_t>(n)];
     stats.cuts.Add(cut, cross);
     stats.min_cut = std::min(stats.min_cut, cut);
     sum += cut * cross;

@@ -33,12 +33,12 @@ struct PairCutStats {
 PairCutStats SampledPairCuts(const topo::Topology& net, std::size_t pairs,
                              Rng& rng);
 
-// Exact replacement for sampling where V permits: the min cut of EVERY
-// unordered server pair, from a Gomory–Hu cut tree — V-1 Dinic solves
-// instead of S(S-1)/2. Pair counts per cut value come from a
-// descending-weight Kruskal merge over the tree, so the cost beyond the
-// tree build is O(V α(V)). Dead servers (under `failures`) count as cut-0
-// pairs, matching per-pair EdgeConnectivity. Requires >= 2 servers.
+// Exact replacement for sampling where S permits: the min cut of EVERY
+// unordered server pair, from the servers-only cut tree — S-1 bounded
+// unit-Dinic solves instead of S(S-1)/2. Pair counts per cut value come from
+// a descending-weight Kruskal merge over the S-1 tree edges, so the cost
+// beyond the tree build is O(S log S). Dead servers (under `failures`) count
+// as cut-0 pairs, matching per-pair EdgeConnectivity. Requires >= 2 servers.
 PairCutStats AllPairsCutStats(const topo::Topology& net,
                               const graph::FailureSet* failures = nullptr);
 

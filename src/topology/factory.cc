@@ -1,6 +1,8 @@
 #include "topology/factory.h"
 
+#include <charconv>
 #include <map>
+#include <string_view>
 
 #include "common/error.h"
 #include "topology/abccc.h"
@@ -26,7 +28,9 @@ std::map<std::string, std::string> ParseKeyValues(const std::string& spec,
     const std::size_t eq = item.find('=');
     DCN_REQUIRE(eq != std::string::npos,
                 "topology spec '" + spec + "': expected key=value, got '" + item + "'");
-    values[item.substr(0, eq)] = item.substr(eq + 1);
+    const std::string key = item.substr(0, eq);
+    DCN_REQUIRE(values.emplace(key, item.substr(eq + 1)).second,
+                "topology spec '" + spec + "': duplicate key '" + key + "'");
     pos = end + 1;
   }
   return values;
@@ -42,15 +46,21 @@ std::string TakeRaw(std::map<std::string, std::string>& values,
   return value;
 }
 
+// Whole-string decimal int: rejects empty text, trailing garbage ("4abc"),
+// leading '+' or blanks, and out-of-range values.
+bool ParseInt(std::string_view text, int& out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc{} && ptr == end;
+}
+
 int Take(std::map<std::string, std::string>& values, const std::string& spec,
          const std::string& key) {
-  const std::string raw = TakeRaw(values, spec, key);
-  try {
-    return std::stoi(raw);
-  } catch (const std::exception&) {
-    throw InvalidArgument{"topology spec '" + spec + "': '" + key +
-                          "' needs an integer value"};
-  }
+  int value = 0;
+  DCN_REQUIRE(ParseInt(TakeRaw(values, spec, key), value),
+              "topology spec '" + spec + "': '" + key +
+                  "' needs an integer value");
+  return value;
 }
 
 // Dotted list "4.4.2", big-endian (a_k first), returned little-endian.
@@ -62,12 +72,11 @@ std::vector<int> TakeRadices(std::map<std::string, std::string>& values,
   while (pos <= raw.size()) {
     std::size_t end = raw.find('.', pos);
     if (end == std::string::npos) end = raw.size();
-    try {
-      big_endian.push_back(std::stoi(raw.substr(pos, end - pos)));
-    } catch (const std::exception&) {
-      throw InvalidArgument{"topology spec '" + spec +
-                            "': radices must be dotted integers, got '" + raw + "'"};
-    }
+    int radix = 0;
+    DCN_REQUIRE(ParseInt(std::string_view{raw}.substr(pos, end - pos), radix),
+                "topology spec '" + spec +
+                    "': radices must be dotted integers, got '" + raw + "'");
+    big_endian.push_back(radix);
     pos = end + 1;
   }
   return {big_endian.rbegin(), big_endian.rend()};

@@ -1,7 +1,8 @@
-// Differential battery for the Gomory–Hu cut tree: every answer it gives
-// must equal a per-pair Dinic solve — on all supported topology families,
-// random graphs, and graphs with failures — and the all-pairs stats built
-// from it must be exact, at any thread count.
+// Differential battery for the servers-only cut tree: every server-pair
+// answer it gives must equal a per-pair Dinic solve — on all supported
+// topology families, random graphs with switches as Steiner nodes, and
+// graphs with failures — and the all-pairs stats built from it must be
+// exact, at any thread count.
 #include "graph/cuttree.h"
 
 #include <gtest/gtest.h>
@@ -14,6 +15,8 @@
 #include "common/rng.h"
 #include "graph/paths.h"
 #include "metrics/bisection.h"
+#include "obs/obs.h"
+#include "topology/custom.h"
 #include "topology/factory.h"
 
 namespace dcn {
@@ -32,6 +35,74 @@ graph::Graph RandomGraph(Rng& rng, std::size_t nodes, std::size_t edges) {
     if (u != v) g.AddEdge(u, v);
   }
   return g;
+}
+
+// Like RandomGraph, but each node is a switch with probability 2/5 (node 0
+// included), so the tree's terminals are a strict subset of the nodes and
+// min cuts route through Steiner switches.
+graph::Graph RandomMixedGraph(Rng& rng, std::size_t nodes, std::size_t edges) {
+  graph::Graph g;
+  for (std::size_t i = 0; i < nodes; ++i) {
+    g.AddNode(rng.NextUint64(5) < 2 ? graph::NodeKind::kSwitch
+                                    : graph::NodeKind::kServer);
+  }
+  for (std::size_t i = 1; i < nodes; ++i) {
+    g.AddEdge(static_cast<graph::NodeId>(rng.NextUint64(i)),
+              static_cast<graph::NodeId>(i));
+  }
+  for (std::size_t e = nodes - 1; e < edges; ++e) {
+    const auto u = static_cast<graph::NodeId>(rng.NextUint64(nodes));
+    const auto v = static_cast<graph::NodeId>(rng.NextUint64(nodes));
+    if (u != v) g.AddEdge(u, v);
+  }
+  return g;
+}
+
+// Dense pods of mixed servers and switches joined by a few random links:
+// inter-pod cuts fall below server degrees, so most solves are unsaturated
+// and re-parent whole pods.
+graph::Graph RandomPodGraph(Rng& rng, std::size_t pods, std::size_t pod_size) {
+  graph::Graph g;
+  const std::size_t nodes = pods * pod_size;
+  for (std::size_t i = 0; i < nodes; ++i) {
+    g.AddNode(rng.NextUint64(4) == 0 ? graph::NodeKind::kSwitch
+                                     : graph::NodeKind::kServer);
+  }
+  for (std::size_t pod = 0; pod < pods; ++pod) {
+    const std::size_t base = pod * pod_size;
+    for (std::size_t i = 0; i < pod_size; ++i) {
+      for (std::size_t j = i + 1; j < pod_size; ++j) {
+        if (rng.NextUint64(3) != 0) {
+          g.AddEdge(static_cast<graph::NodeId>(base + i),
+                    static_cast<graph::NodeId>(base + j));
+        }
+      }
+    }
+  }
+  for (std::size_t e = 0; e < 2 * pods; ++e) {
+    const auto u = static_cast<graph::NodeId>(rng.NextUint64(nodes));
+    const auto v = static_cast<graph::NodeId>(rng.NextUint64(nodes));
+    if (u / static_cast<graph::NodeId>(pod_size) !=
+        v / static_cast<graph::NodeId>(pod_size)) {
+      g.AddEdge(u, v);
+    }
+  }
+  return g;
+}
+
+// Every server pair of `g` against a fresh per-pair Dinic.
+void ExpectTreeMatchesBrute(const graph::Graph& g, const graph::CutTree& tree,
+                            const graph::FailureSet* failures) {
+  const auto servers = g.Servers();
+  graph::FlowScope ws;
+  for (std::size_t i = 0; i < servers.size(); ++i) {
+    for (std::size_t j = i + 1; j < servers.size(); ++j) {
+      EXPECT_EQ(tree.MinCut(servers[i], servers[j]),
+                static_cast<std::int64_t>(graph::EdgeConnectivity(
+                    g.Csr(), servers[i], servers[j], *ws, failures)))
+          << servers[i] << " vs " << servers[j];
+    }
+  }
 }
 
 TEST(CutTreeTest, MatchesDinicOnRandomGraphs) {
@@ -135,6 +206,175 @@ void ExpectSameStats(const metrics::PairCutStats& a,
   EXPECT_EQ(a.min_cut, b.min_cut);
   EXPECT_EQ(a.mean_cut, b.mean_cut);  // both exact integer sums / pairs
   EXPECT_EQ(a.cuts.Buckets(), b.cuts.Buckets());
+}
+
+TEST(CutTreeTest, SwitchesAreSteinerNodes) {
+  Rng rng{19};
+  for (int trial = 0; trial < 10; ++trial) {
+    SCOPED_TRACE(trial);
+    const std::size_t nodes = 8 + rng.NextUint64(20);
+    const graph::Graph g = RandomMixedGraph(rng, nodes, nodes * 2);
+    if (g.Servers().size() < 2) continue;
+    const graph::CutTree tree = graph::BuildCutTree(g);
+    ExpectTreeMatchesBrute(g, tree, nullptr);
+    // Switches stay outside the tree.
+    for (graph::NodeId n = 0; static_cast<std::size_t>(n) < nodes; ++n) {
+      if (g.IsSwitch(n)) {
+        EXPECT_EQ(tree.depth[static_cast<std::size_t>(n)], -1);
+        EXPECT_EQ(tree.parent[static_cast<std::size_t>(n)], graph::kInvalidNode);
+      }
+    }
+  }
+}
+
+TEST(CutTreeTest, SwitchesAreSteinerNodesUnderFailures) {
+  Rng rng{23};
+  for (int trial = 0; trial < 10; ++trial) {
+    SCOPED_TRACE(trial);
+    const std::size_t nodes = 10 + rng.NextUint64(16);
+    const graph::Graph g = RandomMixedGraph(rng, nodes, nodes * 2);
+    if (g.Servers().size() < 2) continue;
+    graph::FailureSet failures{g};
+    for (int k = 0; k < 3; ++k) {
+      failures.KillEdge(static_cast<graph::EdgeId>(rng.NextUint64(g.EdgeCount())));
+    }
+    // One dead node of either kind.
+    failures.KillNode(static_cast<graph::NodeId>(rng.NextUint64(nodes)));
+    const graph::CutTree tree =
+        graph::BuildCutTree(g, /*edge_capacity=*/1, &failures);
+    ExpectTreeMatchesBrute(g, tree, &failures);
+  }
+}
+
+TEST(CutTreeTest, PodGraphsReparentAcrossSteinerSwitches) {
+  Rng rng{31};
+  for (int trial = 0; trial < 12; ++trial) {
+    SCOPED_TRACE(trial);
+    const graph::Graph g =
+        RandomPodGraph(rng, 3 + rng.NextUint64(4), 5 + rng.NextUint64(4));
+    if (g.Servers().size() < 2) continue;
+    ExpectTreeMatchesBrute(g, graph::BuildCutTree(g), nullptr);
+    graph::FailureSet failures{g};
+    failures.KillNode(static_cast<graph::NodeId>(rng.NextUint64(g.NodeCount())));
+    ExpectTreeMatchesBrute(g, graph::BuildCutTree(g, 1, &failures), &failures);
+  }
+}
+
+TEST(CutTreeTest, DeadRootServer) {
+  Rng rng{29};
+  for (int trial = 0; trial < 6; ++trial) {
+    SCOPED_TRACE(trial);
+    const std::size_t nodes = 10 + rng.NextUint64(12);
+    const graph::Graph g = RandomMixedGraph(rng, nodes, nodes * 2);
+    if (g.Servers().size() < 3) continue;
+    graph::FailureSet failures{g};
+    failures.KillNode(g.Servers()[0]);
+    failures.KillEdge(static_cast<graph::EdgeId>(rng.NextUint64(g.EdgeCount())));
+    const graph::CutTree tree =
+        graph::BuildCutTree(g, /*edge_capacity=*/1, &failures);
+    ExpectTreeMatchesBrute(g, tree, &failures);
+  }
+}
+
+TEST(CutTreeTest, FirstServerNeedNotBeNodeZero) {
+  // Switches first: two switch-joined server pods bridged by one link, so
+  // Servers()[0] is node 2 and the cuts differ across and within pods.
+  const topo::CustomTopology net = topo::CustomTopology::FromString(
+      "node 0 switch\nnode 1 switch\n"
+      "node 2 server\nnode 3 server\nnode 4 server\n"
+      "node 5 server\nnode 6 server\n"
+      "link 0 2\nlink 0 3\nlink 0 4\nlink 2 3\nlink 3 4\n"
+      "link 1 5\nlink 1 6\nlink 5 6\nlink 4 5\n");
+  const graph::Graph& g = net.Network();
+  ASSERT_EQ(g.Servers()[0], 2);
+  const graph::CutTree tree = graph::BuildCutTree(g);
+  EXPECT_EQ(tree.depth[2], 0);
+  EXPECT_EQ(tree.parent[2], graph::kInvalidNode);
+  EXPECT_EQ(tree.MinCut(2, 3), 2);
+  EXPECT_EQ(tree.MinCut(5, 6), 2);
+  EXPECT_EQ(tree.MinCut(3, 6), 1);
+  ExpectTreeMatchesBrute(g, tree, nullptr);
+  ExpectSameStats(metrics::AllPairsCutStats(net), BruteAllPairs(net, nullptr));
+}
+
+TEST(CutTreeTest, MinCutRejectsSwitches) {
+  const auto net = topo::MakeTopology("bcube:n=3,k=1");
+  const graph::Graph& g = net->Network();
+  const graph::CutTree tree = graph::BuildCutTree(g);
+  graph::NodeId sw = graph::kInvalidNode;
+  for (graph::NodeId n = 0; static_cast<std::size_t>(n) < g.NodeCount(); ++n) {
+    if (g.IsSwitch(n)) {
+      sw = n;
+      break;
+    }
+  }
+  ASSERT_NE(sw, graph::kInvalidNode);
+  EXPECT_THROW(tree.MinCut(g.Servers()[0], sw), InvalidArgument);
+  EXPECT_THROW(tree.MinCut(sw, g.Servers()[1]), InvalidArgument);
+  EXPECT_THROW(graph::BuildCutTree(g, 0), InvalidArgument);
+}
+
+TEST(CutTreeTest, SolvesOncePerNonRootServer) {
+  const auto net = topo::MakeTopology("abccc:n=4,k=2,c=3");
+  const std::uint64_t before = obs::CounterValue("cuttree/solves");
+  graph::BuildCutTree(net->Network());
+  EXPECT_EQ(obs::CounterValue("cuttree/solves") - before,
+            net->Servers().size() - 1);
+}
+
+TEST(CutTreeTest, SourceSideSeparatesTerminals) {
+  // Two triangles joined by a single bridge: cut 1, source side = triangle A.
+  graph::Graph g;
+  for (int i = 0; i < 6; ++i) g.AddNode(graph::NodeKind::kServer);
+  g.AddEdge(0, 1);
+  g.AddEdge(1, 2);
+  g.AddEdge(2, 0);
+  g.AddEdge(3, 4);
+  g.AddEdge(4, 5);
+  g.AddEdge(5, 3);
+  g.AddEdge(2, 3);  // the bridge
+  graph::FlowScope ws;
+  graph::EdgeConnectivityBatch batch{g.Csr(), *ws};
+  std::vector<char> side;
+  EXPECT_THROW(batch.SourceSide(side), InvalidArgument);  // no query yet
+  EXPECT_EQ(batch.Connectivity(0, 5), 1u);
+  EXPECT_EQ(batch.LiveDegree(0), 2u);
+  batch.SourceSide(side);
+  ASSERT_EQ(side.size(), 6u);
+  for (graph::NodeId n = 0; n < 3; ++n) EXPECT_TRUE(side[n]) << n;
+  for (graph::NodeId n = 3; n < 6; ++n) EXPECT_FALSE(side[n]) << n;
+  // Crossing edges must number exactly the flow value.
+  std::size_t crossing = 0;
+  for (graph::EdgeId e = 0; static_cast<std::size_t>(e) < g.EdgeCount(); ++e) {
+    const auto [u, v] = g.Endpoints(e);
+    if (side[u] != side[v]) ++crossing;
+  }
+  EXPECT_EQ(crossing, 1u);
+  // A later query from the other side reads its own residual network.
+  EXPECT_EQ(batch.Connectivity(4, 1), 1u);
+  batch.SourceSide(side);
+  for (graph::NodeId n = 0; n < 3; ++n) EXPECT_FALSE(side[n]) << n;
+  for (graph::NodeId n = 3; n < 6; ++n) EXPECT_TRUE(side[n]) << n;
+}
+
+TEST(CutTreeTest, SourceSideAfterDeadEndpointIsLiveComponent) {
+  // Path 0-1-2-3 with node 3 dead: after a saturating query the side of a
+  // dead-endpoint query must come from pristine capacities, i.e. src's
+  // live component {0, 1, 2}, not the previous residual network.
+  graph::Graph g;
+  for (int i = 0; i < 4; ++i) g.AddNode(graph::NodeKind::kServer);
+  g.AddEdge(0, 1);
+  g.AddEdge(1, 2);
+  g.AddEdge(2, 3);
+  graph::FailureSet failures{g};
+  failures.KillNode(3);
+  graph::FlowScope ws;
+  graph::EdgeConnectivityBatch batch{g.Csr(), *ws, &failures};
+  EXPECT_EQ(batch.Connectivity(0, 2), 1u);
+  EXPECT_EQ(batch.Connectivity(0, 3), 0u);
+  std::vector<char> side;
+  batch.SourceSide(side);
+  EXPECT_EQ(side, (std::vector<char>{1, 1, 1, 0}));
 }
 
 TEST(AllPairsCutStatsTest, ExactOnSmallTopologies) {

@@ -72,6 +72,26 @@ TEST(FactoryTest, ErrorsNameTheProblem) {
   EXPECT_THROW(MakeTopology("no-colon"), dcn::InvalidArgument);
   EXPECT_THROW(MakeTopology("abccc:n=x"), dcn::InvalidArgument);
   EXPECT_THROW(MakeTopology("abccc:n"), dcn::InvalidArgument);
+  // Integers must consume the whole value: no trailing garbage.
+  try {
+    MakeTopology("abccc:n=4abc,k=2,c=3");
+    FAIL() << "expected InvalidArgument";
+  } catch (const dcn::InvalidArgument& e) {
+    EXPECT_NE(std::string{e.what()}.find("'n' needs an integer value"),
+              std::string::npos);
+  }
+  EXPECT_THROW(MakeTopology("abccc:n=4,k=2,c=3 "), dcn::InvalidArgument);
+  EXPECT_THROW(MakeTopology("abccc:n=+4,k=2,c=3"), dcn::InvalidArgument);
+  EXPECT_THROW(MakeTopology("abccc:n=99999999999,k=2,c=3"), dcn::InvalidArgument);
+  EXPECT_THROW(MakeTopology("gabccc:radices=4.4x.2,c=2"), dcn::InvalidArgument);
+  EXPECT_THROW(MakeTopology("gabccc:radices=4..2,c=2"), dcn::InvalidArgument);
+  // A repeated key is an error, not "last one wins".
+  try {
+    MakeTopology("abccc:n=4,k=2,c=3,c=4");
+    FAIL() << "expected InvalidArgument";
+  } catch (const dcn::InvalidArgument& e) {
+    EXPECT_NE(std::string{e.what()}.find("duplicate key 'c'"), std::string::npos);
+  }
   // Invalid parameter values propagate the topology's own validation.
   EXPECT_THROW(MakeTopology("abccc:n=1,k=1,c=2"), dcn::InvalidArgument);
   EXPECT_THROW(MakeTopology("fattree:k=3"), dcn::InvalidArgument);

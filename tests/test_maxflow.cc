@@ -107,7 +107,7 @@ TEST(MaxFlowTest, PreconditionViolations) {
   EXPECT_THROW(MaxFlowSolver(g, 0), InvalidArgument);
 }
 
-TEST(MaxFlowTest, SolveRequiresResetBetweenSolves) {
+TEST(MaxFlowTest, SolveIsSingleShot) {
   Graph g;
   const NodeId a = g.AddNode(NodeKind::kServer);
   const NodeId b = g.AddNode(NodeKind::kServer);
@@ -115,61 +115,9 @@ TEST(MaxFlowTest, SolveRequiresResetBetweenSolves) {
   MaxFlowSolver solver{g};
   EXPECT_EQ(solver.Solve(std::vector<NodeId>{a}, std::vector<NodeId>{b}), 1);
   // The residual network of the first solve is still loaded: solving again
-  // without Reset() must throw rather than return garbage.
+  // must throw rather than return garbage.
   EXPECT_THROW(solver.Solve(std::vector<NodeId>{a}, std::vector<NodeId>{b}),
                InvalidArgument);
-  solver.Reset();
-  EXPECT_EQ(solver.Solve(std::vector<NodeId>{a}, std::vector<NodeId>{b}), 1);
-}
-
-TEST(MaxFlowTest, ReusedSolverMatchesFreshSolvers) {
-  // K4 plus a pendant: several distinct terminal pairs with different cuts.
-  Graph g;
-  for (int i = 0; i < 5; ++i) g.AddNode(NodeKind::kServer);
-  for (int i = 0; i < 4; ++i) {
-    for (int j = i + 1; j < 4; ++j) g.AddEdge(i, j);
-  }
-  g.AddEdge(3, 4);
-  MaxFlowSolver reused{g};
-  bool first = true;
-  for (NodeId src = 0; src < 5; ++src) {
-    for (NodeId dst = 0; dst < 5; ++dst) {
-      if (src == dst) continue;
-      if (!first) reused.Reset();
-      first = false;
-      MaxFlowSolver fresh{g};
-      EXPECT_EQ(reused.Solve(std::vector<NodeId>{src}, std::vector<NodeId>{dst}),
-                fresh.Solve(std::vector<NodeId>{src}, std::vector<NodeId>{dst}))
-          << src << " -> " << dst;
-    }
-  }
-}
-
-TEST(MaxFlowTest, MinCutSourceSideSeparatesTerminals) {
-  // Two triangles joined by a single bridge: cut 1, source side = triangle A.
-  Graph g;
-  for (int i = 0; i < 6; ++i) g.AddNode(NodeKind::kServer);
-  g.AddEdge(0, 1);
-  g.AddEdge(1, 2);
-  g.AddEdge(2, 0);
-  g.AddEdge(3, 4);
-  g.AddEdge(4, 5);
-  g.AddEdge(5, 3);
-  g.AddEdge(2, 3);  // the bridge
-  MaxFlowSolver solver{g};
-  EXPECT_EQ(solver.Solve(std::vector<NodeId>{0}, std::vector<NodeId>{5}), 1);
-  std::vector<char> side;
-  solver.MinCutSourceSide(side);
-  ASSERT_EQ(side.size(), 6u);
-  for (NodeId n = 0; n < 3; ++n) EXPECT_TRUE(side[n]) << n;
-  for (NodeId n = 3; n < 6; ++n) EXPECT_FALSE(side[n]) << n;
-  // Crossing edges must number exactly the flow value.
-  std::size_t crossing = 0;
-  for (EdgeId e = 0; static_cast<std::size_t>(e) < g.EdgeCount(); ++e) {
-    const auto [u, v] = g.Endpoints(e);
-    if (side[u] != side[v]) ++crossing;
-  }
-  EXPECT_EQ(crossing, 1u);
 }
 
 }  // namespace
