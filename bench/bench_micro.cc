@@ -361,6 +361,39 @@ int RunJson() {
     entries.push_back(e);
   }
 
+  // 4b. Sampled pair cuts with pairs >= S-1 at one thread: SampledPairCuts
+  //     builds the servers-only cut tree (S-1 solves) and answers every drawn
+  //     pair from it, against the same per-pair reference. The stats must
+  //     agree exactly — a digest mismatch fails the run.
+  {
+    Entry e{"pair_cuts_tree_abccc_n4_k3_c2"};
+    constexpr std::size_t kPairs = 2048;
+    dcn::metrics::PairCutStats tree, reference;
+    e.ns_per_op = BestNs(kRepeats, [&] {
+      Rng rng{dcn::bench::kDefaultSeed};
+      tree = dcn::metrics::SampledPairCuts(net, kPairs, rng);
+      benchmark::DoNotOptimize(tree);
+    });
+    e.baseline_ns_per_op = BestNs(kRepeats, [&] {
+      Rng rng{dcn::bench::kDefaultSeed};
+      reference = dcn::bench::ReferenceSampledPairCuts(net, kPairs, rng);
+      benchmark::DoNotOptimize(reference);
+    });
+    if (tree.mean_cut != reference.mean_cut ||
+        tree.min_cut != reference.min_cut || tree.pairs != reference.pairs ||
+        tree.cuts.Buckets() != reference.cuts.Buckets()) {
+      std::fprintf(stderr, "pair-cuts tree baseline mismatch\n");
+      return 1;
+    }
+    dcn::obs::Reset();
+    Rng rng{dcn::bench::kDefaultSeed};
+    benchmark::DoNotOptimize(dcn::metrics::SampledPairCuts(net, kPairs, rng));
+    e.obs.emplace_back(
+        "cuttree_solves",
+        static_cast<double>(dcn::obs::CounterValue("cuttree/solves")));
+    entries.push_back(e);
+  }
+
   // 5. Monte Carlo single-switch fault trials: the intact-forest cone repair
   //    plus component-oracle sampling against the retained full-BFS-per-trial
   //    kernel. The worst-case fraction must be bit-identical.

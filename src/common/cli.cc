@@ -1,5 +1,9 @@
 #include "common/cli.h"
 
+#include <cctype>
+#include <cerrno>
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 
 #include "common/error.h"
@@ -15,11 +19,11 @@ CliArgs::CliArgs(int argc, const char* const* argv) {
                 "CLI arguments must look like --key=value, got: " + token);
     const std::string body = token.substr(2);
     const std::size_t eq = body.find('=');
-    if (eq == std::string::npos) {
-      values_[body] = "true";
-    } else {
-      values_[body.substr(0, eq)] = body.substr(eq + 1);
-    }
+    const std::string key = body.substr(0, eq);
+    const std::string value =
+        eq == std::string::npos ? "true" : body.substr(eq + 1);
+    DCN_REQUIRE(values_.emplace(key, value).second,
+                "duplicate flag --" + key + ", got: " + token);
   }
 }
 
@@ -34,21 +38,28 @@ std::string CliArgs::GetString(const std::string& key,
 std::int64_t CliArgs::GetInt(const std::string& key, std::int64_t fallback) const {
   auto it = values_.find(key);
   if (it == values_.end()) return fallback;
-  try {
-    return std::stoll(it->second);
-  } catch (const std::exception&) {
-    throw InvalidArgument{"--" + key + " expects an integer, got: " + it->second};
-  }
+  const std::string& text = it->second;
+  const char* end = text.data() + text.size();
+  std::int64_t value = 0;
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  DCN_REQUIRE(ec == std::errc{} && ptr == end,
+              "--" + key + " expects an integer, got: " + text);
+  return value;
 }
 
 double CliArgs::GetDouble(const std::string& key, double fallback) const {
   auto it = values_.find(key);
   if (it == values_.end()) return fallback;
-  try {
-    return std::stod(it->second);
-  } catch (const std::exception&) {
-    throw InvalidArgument{"--" + key + " expects a number, got: " + it->second};
-  }
+  // strtod skips leading blanks; reject them explicitly.
+  const std::string& text = it->second;
+  char* end = nullptr;
+  errno = 0;
+  const double value = std::strtod(text.c_str(), &end);
+  DCN_REQUIRE(!text.empty() && !std::isspace(static_cast<unsigned char>(text[0])) &&
+                  end == text.c_str() + text.size() && errno != ERANGE &&
+                  std::isfinite(value),
+              "--" + key + " expects a number, got: " + text);
+  return value;
 }
 
 void ApplyGlobalFlags(const CliArgs& args) {

@@ -7,8 +7,9 @@
 //
 // The workspace overloads run the solver on caller-provided scratch
 // (graph/workspace.h): the flat arc arrays are overwritten, not reallocated,
-// so steady-state sampling loops (metrics::SampledPairCuts) stay
-// allocation-free. The Graph overloads borrow a per-thread workspace.
+// so steady-state sampling loops (the batch path of
+// metrics::SampledPairCuts, taken when pairs are few against the servers)
+// stay allocation-free. The Graph overloads borrow a per-thread workspace.
 #pragma once
 
 #include <vector>

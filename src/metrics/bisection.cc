@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 
 #include "common/error.h"
 #include "common/parallel.h"
@@ -27,11 +28,7 @@ PairCutStats SampledPairCuts(const topo::Topology& net, std::size_t pairs,
 
   const Rng base = rng.Fork();
 
-  // Pre-draw every pair from its historical base.Fork(i) stream, then order
-  // the queries by source node: consecutive same-source queries inside a
-  // chunk share the batched solver's cached first-phase level graph. The
-  // accumulators (histogram, min, sum) are commutative integers, so the
-  // reordering cannot change any output bit.
+  // Pre-draw every pair from its historical base.Fork(i) stream.
   struct PairDraw {
     graph::NodeId src;
     graph::NodeId dst;
@@ -44,44 +41,61 @@ PairCutStats SampledPairCuts(const topo::Topology& net, std::size_t pairs,
     while (dst == src) dst = servers[pair_rng.NextUint64(servers.size())];
     draws[i] = {src, dst};
   }
-  std::vector<std::uint32_t> order(pairs);
-  for (std::size_t i = 0; i < pairs; ++i) order[i] = static_cast<std::uint32_t>(i);
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::uint32_t a, std::uint32_t b) {
-                     return draws[a].src < draws[b].src;
-                   });
 
+  // The accumulators (histogram, min, sum) are commutative integers, so
+  // neither the answering path nor the query order can change an output bit.
   struct Partial {
     IntHistogram cuts;
     std::int64_t min_cut = std::numeric_limits<std::int64_t>::max();
     std::int64_t sum = 0;
+    void Add(std::int64_t cut) {
+      cuts.Add(cut);
+      min_cut = std::min(min_cut, cut);
+      sum += cut;
+    }
   };
-  const Partial merged = ParallelMapReduce(
-      pairs, /*chunk=*/8, Partial{},
-      [&](std::size_t begin, std::size_t end) {
-        Partial partial;
-        // One batched solver per chunk: the flat arc arrays are built once
-        // and each query restores pristine capacities with a memcpy.
-        graph::FlowScope ws;
-        graph::EdgeConnectivityBatch batch{csr, *ws};
-        for (std::size_t i = begin; i < end; ++i) {
-          const PairDraw& draw = draws[order[i]];
-          const bool repeated_source =
-              i + 1 < end && draws[order[i + 1]].src == draw.src;
-          const auto cut = static_cast<std::int64_t>(
-              batch.Connectivity(draw.src, draw.dst, repeated_source));
-          partial.cuts.Add(cut);
-          partial.min_cut = std::min(partial.min_cut, cut);
-          partial.sum += cut;
-        }
-        return partial;
-      },
-      [](Partial acc, Partial partial) {
-        acc.cuts.Merge(partial.cuts);
-        acc.min_cut = std::min(acc.min_cut, partial.min_cut);
-        acc.sum += partial.sum;
-        return acc;
-      });
+  Partial merged;
+  // Both paths are exact. The servers-only cut tree costs S-1 serial solves;
+  // the batch path splits `pairs` solves across the team. Take the tree when
+  // its serial chain is no longer than one member's share of the batch.
+  const auto team = static_cast<std::size_t>(TeamSize());
+  if ((servers.size() - 1) * team <= pairs) {
+    const graph::CutTree tree = graph::BuildCutTree(net.Network());
+    for (const PairDraw& draw : draws) merged.Add(tree.MinCut(draw.src, draw.dst));
+  } else {
+    // Order the queries by source node: consecutive same-source queries
+    // inside a chunk share the batched solver's cached first-phase level
+    // graph.
+    std::vector<std::uint32_t> order(pairs);
+    std::iota(order.begin(), order.end(), 0u);
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::uint32_t a, std::uint32_t b) {
+                       return draws[a].src < draws[b].src;
+                     });
+    merged = ParallelMapReduce(
+        pairs, /*chunk=*/8, Partial{},
+        [&](std::size_t begin, std::size_t end) {
+          Partial partial;
+          // One batched solver per chunk: the flat arc arrays are built once
+          // and each query restores pristine capacities with a memcpy.
+          graph::FlowScope ws;
+          graph::EdgeConnectivityBatch batch{csr, *ws};
+          for (std::size_t i = begin; i < end; ++i) {
+            const PairDraw& draw = draws[order[i]];
+            const bool repeated_source =
+                i + 1 < end && draws[order[i + 1]].src == draw.src;
+            partial.Add(static_cast<std::int64_t>(
+                batch.Connectivity(draw.src, draw.dst, repeated_source)));
+          }
+          return partial;
+        },
+        [](Partial acc, Partial partial) {
+          acc.cuts.Merge(partial.cuts);
+          acc.min_cut = std::min(acc.min_cut, partial.min_cut);
+          acc.sum += partial.sum;
+          return acc;
+        });
+  }
 
   PairCutStats stats;
   stats.cuts = merged.cuts;

@@ -27,9 +27,13 @@ struct PairCutStats {
 // Monte Carlo counterpart of the canonical-cut measurement: max-flow between
 // `pairs` random distinct server pairs (each flow = that pair's link
 // connectivity). Pair i draws from rng.Fork(i), so the sample set is
-// identical for any thread count; queries are grouped by source into a
-// batched Dinic (graph::EdgeConnectivityBatch) that rebuilds arc arrays once
-// per chunk instead of once per pair. Requires >= 2 servers and pairs > 0.
+// identical for any thread count. Two exact paths answer the draws:
+//  * (S-1) x TeamSize() <= pairs: the servers-only cut tree
+//    (graph::BuildCutTree, S-1 serial solves), then one tree query per pair;
+//  * otherwise: queries grouped by source into a batched Dinic
+//    (graph::EdgeConnectivityBatch) per chunk, split across the pool.
+// Both give the same cut per pair, so the output is bit-identical whichever
+// path runs. Requires >= 2 servers and pairs > 0.
 PairCutStats SampledPairCuts(const topo::Topology& net, std::size_t pairs,
                              Rng& rng);
 

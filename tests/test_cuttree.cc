@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <limits>
 #include <memory>
+#include <vector>
 
 #include "common/parallel.h"
 #include "common/rng.h"
@@ -276,15 +277,17 @@ TEST(CutTreeTest, DeadRootServer) {
   }
 }
 
+// Switches first: two switch-joined server pods bridged by one link, so
+// Servers()[0] is node 2 and the cuts differ across and within pods.
+constexpr const char* kSteinerPods =
+    "node 0 switch\nnode 1 switch\n"
+    "node 2 server\nnode 3 server\nnode 4 server\n"
+    "node 5 server\nnode 6 server\n"
+    "link 0 2\nlink 0 3\nlink 0 4\nlink 2 3\nlink 3 4\n"
+    "link 1 5\nlink 1 6\nlink 5 6\nlink 4 5\n";
+
 TEST(CutTreeTest, FirstServerNeedNotBeNodeZero) {
-  // Switches first: two switch-joined server pods bridged by one link, so
-  // Servers()[0] is node 2 and the cuts differ across and within pods.
-  const topo::CustomTopology net = topo::CustomTopology::FromString(
-      "node 0 switch\nnode 1 switch\n"
-      "node 2 server\nnode 3 server\nnode 4 server\n"
-      "node 5 server\nnode 6 server\n"
-      "link 0 2\nlink 0 3\nlink 0 4\nlink 2 3\nlink 3 4\n"
-      "link 1 5\nlink 1 6\nlink 5 6\nlink 4 5\n");
+  const topo::CustomTopology net = topo::CustomTopology::FromString(kSteinerPods);
   const graph::Graph& g = net.Network();
   ASSERT_EQ(g.Servers()[0], 2);
   const graph::CutTree tree = graph::BuildCutTree(g);
@@ -441,6 +444,87 @@ TEST(AllPairsCutStatsTest, ThreadCountInvariant) {
     const metrics::PairCutStats parallel = metrics::AllPairsCutStats(*net);
     SCOPED_TRACE(threads);
     ExpectSameStats(serial, parallel);
+  }
+  SetThreadCount(0);
+}
+
+// Oracle twin of SampledPairCuts: the same base.Fork(i) pair draws, each
+// recomputed by a fresh per-pair Dinic.
+metrics::PairCutStats OracleSampledPairCuts(const topo::Topology& net,
+                                            std::size_t pairs, Rng& rng) {
+  const graph::CsrView& csr = net.Network().Csr();
+  const auto servers = csr.Servers();
+  const Rng base = rng.Fork();
+  graph::FlowScope ws;
+  metrics::PairCutStats stats;
+  stats.min_cut = std::numeric_limits<std::int64_t>::max();
+  std::int64_t sum = 0;
+  for (std::size_t i = 0; i < pairs; ++i) {
+    Rng pair_rng = base.Fork(i);
+    const graph::NodeId src = servers[pair_rng.NextUint64(servers.size())];
+    graph::NodeId dst = src;
+    while (dst == src) dst = servers[pair_rng.NextUint64(servers.size())];
+    const auto cut =
+        static_cast<std::int64_t>(graph::EdgeConnectivity(csr, src, dst, *ws));
+    stats.cuts.Add(cut);
+    stats.min_cut = std::min(stats.min_cut, cut);
+    sum += cut;
+    ++stats.pairs;
+  }
+  stats.mean_cut = static_cast<double>(sum) / static_cast<double>(pairs);
+  return stats;
+}
+
+// Runs SampledPairCuts at the current thread count, checks it against the
+// oracle, and returns how many cut-tree solves it made.
+std::uint64_t SampledCutsSolves(const topo::Topology& net, std::size_t pairs) {
+  const std::uint64_t before = obs::CounterValue("cuttree/solves");
+  Rng rng{0x5a3 + pairs};
+  const metrics::PairCutStats sampled = metrics::SampledPairCuts(net, pairs, rng);
+  const std::uint64_t solves = obs::CounterValue("cuttree/solves") - before;
+  Rng oracle_rng{0x5a3 + pairs};
+  ExpectSameStats(sampled, OracleSampledPairCuts(net, pairs, oracle_rng));
+  return solves;
+}
+
+std::vector<std::unique_ptr<topo::Topology>> SmallFamilyNets() {
+  std::vector<std::unique_ptr<topo::Topology>> nets;
+  for (const char* spec : {"abccc:n=2,k=1,c=2", "bcube:n=3,k=1", "dcell:n=3,k=1",
+                           "ficonn:n=4,k=1", "fattree:k=4"}) {
+    nets.push_back(topo::MakeTopology(spec));
+  }
+  nets.push_back(std::make_unique<topo::CustomTopology>(
+      topo::CustomTopology::FromString(kSteinerPods)));
+  return nets;
+}
+
+// At one thread, pairs >= S-1 takes the tree path: one S-1 solve build,
+// then every drawn pair is a tree query.
+TEST(SampledPairCutsTest, TreePathMatchesPerPairOracle) {
+  SetThreadCount(1);
+  for (const auto& net : SmallFamilyNets()) {
+    SCOPED_TRACE(net->Name());
+    const std::size_t s = net->ServerCount();
+    for (const std::size_t pairs : {s - 1, 3 * s}) {
+      SCOPED_TRACE(pairs);
+      EXPECT_EQ(SampledCutsSolves(*net, pairs), s - 1);
+    }
+  }
+  SetThreadCount(0);
+}
+
+// Fewer pairs than S-1, or a team whose share of the batch is shorter than
+// the tree's serial chain, keeps the per-pair batch path: no tree is built.
+// At two threads the tree takes over from 2(S-1) pairs.
+TEST(SampledPairCutsTest, DispatchBoundaryScalesWithThreads) {
+  for (const auto& net : SmallFamilyNets()) {
+    SCOPED_TRACE(net->Name());
+    const std::size_t s = net->ServerCount();
+    SetThreadCount(1);
+    EXPECT_EQ(SampledCutsSolves(*net, s - 2), 0u);
+    SetThreadCount(2);
+    EXPECT_EQ(SampledCutsSolves(*net, 2 * (s - 1) - 1), 0u);
+    EXPECT_EQ(SampledCutsSolves(*net, 2 * (s - 1)), s - 1);
   }
   SetThreadCount(0);
 }

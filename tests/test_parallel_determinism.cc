@@ -93,6 +93,26 @@ TEST_P(ParallelDeterminism, SampledPairCuts) {
       });
 }
 
+// With pairs in [S-1, 2(S-1)), one thread answers from the servers-only cut
+// tree while 2 and 7 threads take the per-pair batch path, so this compares
+// the two paths bit for bit.
+TEST_P(ParallelDeterminism, SampledPairCutsTreeVsBatch) {
+  const auto net = Net();
+  const std::size_t pairs =
+      net->ServerCount() - 1 + (net->ServerCount() - 1) / 2;
+  ExpectInvariant(
+      [&] {
+        Rng rng{kSeed + 4};
+        return metrics::SampledPairCuts(*net, pairs, rng);
+      },
+      [](const metrics::PairCutStats& a, const metrics::PairCutStats& b,
+         int threads) {
+        EXPECT_EQ(a.cuts.Buckets(), b.cuts.Buckets()) << "threads=" << threads;
+        EXPECT_EQ(a.min_cut, b.min_cut) << "threads=" << threads;
+        EXPECT_EQ(a.mean_cut, b.mean_cut) << "threads=" << threads;
+      });
+}
+
 TEST_P(ParallelDeterminism, ResilienceTrials) {
   const auto net = Net();
   ExpectInvariant(

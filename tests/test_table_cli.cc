@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 
 #include "common/cli.h"
@@ -57,6 +58,34 @@ TEST(CliArgsTest, RejectsMalformedTokensAndValues) {
   CliArgs args{3, argv};
   EXPECT_THROW(args.GetInt("n", 0), InvalidArgument);
   EXPECT_THROW(args.GetBool("b", false), InvalidArgument);
+}
+
+TEST(CliArgsTest, NumbersMustBeWholeValues) {
+  const char* argv[] = {"prog", "--pairs=64abc", "--plus=+4", "--blank= 4",
+                        "--empty=", "--huge=9223372036854775808",
+                        "--ratio=0.5x", "--lead= 0.5", "--inf=inf",
+                        "--nan=nan", "--over=1e999", "--neg=-3",
+                        "--max=9223372036854775807", "--sci=2.5e-3"};
+  CliArgs args{14, argv};
+  for (const char* key : {"pairs", "plus", "blank", "empty", "huge", "ratio"}) {
+    EXPECT_THROW(args.GetInt(key, 0), InvalidArgument) << key;
+  }
+  for (const char* key : {"pairs", "ratio", "lead", "empty", "inf", "nan", "over"}) {
+    EXPECT_THROW(args.GetDouble(key, 0.0), InvalidArgument) << key;
+  }
+  EXPECT_EQ(args.GetInt("neg", 0), -3);
+  EXPECT_EQ(args.GetInt("max", 0), std::numeric_limits<std::int64_t>::max());
+  EXPECT_EQ(args.GetDouble("neg", 0.0), -3.0);
+  EXPECT_EQ(args.GetDouble("sci", 0.0), 2.5e-3);
+}
+
+TEST(CliArgsTest, RejectsDuplicateFlags) {
+  const char* twice[] = {"prog", "--k=2", "--k=3"};
+  EXPECT_THROW((CliArgs{3, twice}), InvalidArgument);
+  const char* bare_twice[] = {"prog", "--verbose", "--verbose"};
+  EXPECT_THROW((CliArgs{3, bare_twice}), InvalidArgument);
+  const char* mixed[] = {"prog", "--verbose", "--verbose=false"};
+  EXPECT_THROW((CliArgs{3, mixed}), InvalidArgument);
 }
 
 }  // namespace
