@@ -1,24 +1,29 @@
 // S1 — million-server scale tables from the implicit address-arithmetic
 // topologies (topology/implicit.h): exact diameter / radius / ASPL via the
-// symmetry-reduced sweep (m representative sources instead of all S), a
-// sampled cross-check (64 random sources through the same bit-parallel BFS),
-// routing stretch, and the closed-form cost model — on ABCCC / BCCC / BCube
-// instances with 1-5 million servers, in O(frontier) memory. The materialized
-// builders would need tens of gigabytes for the same tables; here the only
-// O(V) state is the traversal workspaces (a few words per node).
+// symmetry-reduced stats (m BFS passes over the binary quotient cube, not the
+// full one), a sampled cross-check (64 random sources through the
+// bit-parallel BFS over the full cube), routing stretch, and the closed-form
+// cost model — on ABCCC / BCCC / BCube instances with 1-5 million servers, in
+// O(frontier) memory. The materialized builders would need tens of gigabytes
+// for the same tables; here the only O(V) state is the sampled pass's
+// traversal workspaces (a few words per node).
 //
 // Determinism: every value except the timing columns is bit-identical for any
 // DCN_THREADS (the sweeps and samplers inherit the msbfs.h contract), so the
 // table diffs clean across runs and machines.
 //
 // Flags:
-//   --smoke          one ABCCC(16,4,3) instance (3.1M servers), exact sweep
-//                    only; asserts connectivity and diameter <= the routing
-//                    bound. CI runs this under `ulimit -v` (see ci.yml) that
-//                    the materialized path could not survive.
+//   --smoke          one ABCCC(16,4,3) instance (3.1M servers) with a
+//                    small sampled cross-check (64 sources x 4 pairs);
+//                    asserts connectivity, diameter <= the routing bound and
+//                    sampled diameter bound <= the exact diameter. CI runs
+//                    this under `ulimit -v` (see ci.yml): the 64-lane MS-BFS
+//                    over all 4.5M nodes fits in frontier memory, which the
+//                    materialized path could not.
 //   --json           machine-readable rows for scripts/bench_json.sh.
 //   --max-rss-mb N   fail (exit 1) if peak RSS exceeds N MB (0 = off).
-//   --sources/--pairs  sampled cross-check shape (default 64 x 32).
+//   --sources/--pairs  sampled cross-check shape (default 64 x 32; the
+//                    smoke defaults to 64 x 4).
 #include <sys/resource.h>
 
 #include <chrono>
@@ -74,7 +79,8 @@ int main(int argc, char** argv) {
   const bool smoke = args.Has("smoke");
   const bool json = args.Has("json");
   const auto sources = static_cast<std::size_t>(args.GetInt("sources", 64));
-  const auto pairs = static_cast<std::size_t>(args.GetInt("pairs", 32));
+  const auto pairs =
+      static_cast<std::size_t>(args.GetInt("pairs", smoke ? 4 : 32));
   const double max_rss_mb = args.GetDouble("max-rss-mb", 0.0);
 
   // Ascending node count, so the RSS high-water mark tracks each instance.
@@ -127,21 +133,19 @@ int main(int argc, char** argv) {
       ok = false;
     }
 
-    if (!smoke) {
-      Rng rng{bench::kDefaultSeed};
-      const metrics::SampledPathStats sampled =
-          metrics::SamplePathStats(cube, sources, pairs, rng);
-      row.sampled_aspl = sampled.shortest.Mean();
-      row.stretch = sampled.mean_stretch;
-      // The sampled pass must agree with the exact one it cross-checks.
-      if (sampled.diameter_lower_bound > exact.diameter) {
-        std::fprintf(stderr,
-                     "FAIL: %s sampled diameter bound %d exceeds the exact "
-                     "diameter %d\n",
-                     row.name.c_str(), sampled.diameter_lower_bound,
-                     exact.diameter);
-        ok = false;
-      }
+    Rng rng{bench::kDefaultSeed};
+    const metrics::SampledPathStats sampled =
+        metrics::SamplePathStats(cube, sources, pairs, rng);
+    row.sampled_aspl = sampled.shortest.Mean();
+    row.stretch = sampled.mean_stretch;
+    // The sampled pass must agree with the exact one it cross-checks.
+    if (sampled.diameter_lower_bound > exact.diameter) {
+      std::fprintf(stderr,
+                   "FAIL: %s sampled diameter bound %d exceeds the exact "
+                   "diameter %d\n",
+                   row.name.c_str(), sampled.diameter_lower_bound,
+                   exact.diameter);
+      ok = false;
     }
 
     row.net_usd_per_server = topo::EvaluateCost(cube).network_per_server_usd;
@@ -164,8 +168,8 @@ int main(int argc, char** argv) {
           "{\"name\": \"%s\", \"servers\": %llu, \"switches\": %llu, "
           "\"links\": %llu, \"diameter\": %d, \"radius\": %d, "
           "\"aspl\": %.6f, \"sampled_aspl\": %.4f, \"stretch\": %.4f, "
-          "\"net_usd_per_server\": %.2f, \"exact_ms\": %.1f, "
-          "\"ns_per_op\": %.1f, \"peak_rss_mb\": %.1f}%s\n",
+          "\"net_usd_per_server\": %.2f, \"exact_ms\": %.4f, "
+          "\"ns_per_op\": %.4f, \"peak_rss_mb\": %.1f}%s\n",
           r.name.c_str(), static_cast<unsigned long long>(r.servers),
           static_cast<unsigned long long>(r.switches),
           static_cast<unsigned long long>(r.links), r.diameter, r.radius,
@@ -186,14 +190,15 @@ int main(int argc, char** argv) {
                   Table::Cell(r.aspl, 3), Table::Cell(r.sampled_aspl, 2),
                   Table::Cell(r.stretch, 2),
                   Table::Cell(r.net_usd_per_server, 0),
-                  Table::Cell(r.exact_ms, 0), Table::Cell(r.peak_rss_mb, 0)});
+                  Table::Cell(r.exact_ms, 3), Table::Cell(r.peak_rss_mb, 0)});
   }
   table.Print(std::cout, smoke ? "S1: scale smoke" : "S1: million-server scale");
-  std::cout << "\nExpected shape: the exact sweep visits only m = "
-               "ceil((k+1)/(c-1)) representative sources, so million-server "
-               "exact diameters cost seconds; sampled ASPL tracks the exact "
-               "column to ~1%; BCCC pays the smallest NIC count, BCube the "
-               "largest; peak RSS stays within a few words per node — the "
+  std::cout << "\nExpected shape: the exact stats run m = "
+               "ceil((k+1)/(c-1)) BFS passes over the binary quotient cube, so "
+               "million-server exact diameters cost well under a millisecond; "
+               "sampled ASPL tracks the exact column to ~1%; BCCC pays the "
+               "smallest NIC count, BCube the largest; peak RSS (set by the "
+               "sampled pass) stays within a few words per node — the "
                "materialized builders would need tens of GB for the same "
                "table.\n";
   return ok ? 0 : 1;

@@ -1,8 +1,11 @@
 #include "common/parallel.h"
 
 #include <atomic>
+#include <charconv>
+#include <climits>
 #include <condition_variable>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -23,15 +26,19 @@ int HardwareThreads() {
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
+// The whole value must be a decimal in [1, INT_MAX]: no sign, no blanks, no
+// suffix, and no wrap-around through a narrowing cast.
 int EnvThreads() {
   const char* env = std::getenv("DCN_THREADS");
   if (env == nullptr || *env == '\0') return 0;
-  char* end = nullptr;
-  const long parsed = std::strtol(env, &end, 10);
-  if (end == nullptr || *end != '\0' || parsed < 1) {
-    throw InvalidArgument{std::string{"DCN_THREADS must be a positive integer, got: "} + env};
+  const char* end = env + std::strlen(env);
+  int parsed = 0;
+  const auto [ptr, ec] = std::from_chars(env, end, parsed);
+  if (ec != std::errc{} || ptr != end || parsed < 1) {
+    throw InvalidArgument{std::string{"DCN_THREADS must be an integer in [1, "} +
+                          std::to_string(INT_MAX) + "], got: " + env};
   }
-  return static_cast<int>(parsed);
+  return parsed;
 }
 
 std::atomic<int> g_thread_override{0};  // 0 = automatic (env, then hardware)
@@ -187,7 +194,9 @@ void SetThreadCount(int threads) {
 
 void ConfigureThreads(const CliArgs& args) {
   const std::int64_t threads = args.GetInt("threads", 0);
-  DCN_REQUIRE(threads >= 0, "--threads must be >= 0 (0 = automatic)");
+  DCN_REQUIRE(threads >= 0 && threads <= INT_MAX,
+              "--threads must be in [0, " + std::to_string(INT_MAX) +
+                  "] (0 = automatic)");
   SetThreadCount(static_cast<int>(threads));
 }
 

@@ -342,23 +342,18 @@ struct AllPairsSweepStats {
   std::vector<std::uint64_t> pairs_at_distance;
 };
 
-namespace msbfs_detail {
-
-// Shared sweep engine: sources given as (count, source_at(i)). Block i covers
-// sources [i*64, ...); blocks are copied into a fixed per-block buffer — the
-// same values in the same order the span-based sweep used — and merged in
-// ascending block order, so results are bit-identical at any thread count and
-// for any source container.
-template <TraversalGraph G, typename SourceAt>
-AllPairsSweepStats SweepFromSourceFn(const G& g, std::size_t source_count,
-                                     SourceAt&& source_at) {
+// One MS-BFS block per 64 servers, parallelized across blocks: block i
+// covers servers [i*64, ...) and partials merge in ascending block order.
+template <TraversalGraph G>
+AllPairsSweepStats AllPairsDistanceSweep(const G& g) {
   AllPairsSweepStats stats;
-  if (source_count == 0) return stats;
-  const std::size_t blocks = (source_count + kMsBfsLanes - 1) / kMsBfsLanes;
+  const std::size_t servers = g.ServerCount();
+  if (servers == 0) return stats;
+  const std::size_t blocks = (servers + kMsBfsLanes - 1) / kMsBfsLanes;
 
   // Everything in a partial is an exact integer, so the fixed block split +
   // ascending merge order make the reduction bit-identical for any thread
-  // count — and identical to the per-source sweep it replaced.
+  // count.
   struct Partial {
     std::int64_t total = 0;       // sum of distances over reached pairs
     std::uint64_t reached = 0;    // (source, server) pairs incl. source itself
@@ -376,10 +371,9 @@ AllPairsSweepStats SweepFromSourceFn(const G& g, std::size_t source_count,
         std::array<NodeId, kMsBfsLanes> block{};
         for (std::size_t b = begin; b < end; ++b) {
           const std::size_t first = b * kMsBfsLanes;
-          const std::size_t lanes =
-              std::min(kMsBfsLanes, source_count - first);
+          const std::size_t lanes = std::min(kMsBfsLanes, servers - first);
           for (std::size_t i = 0; i < lanes; ++i) {
-            block[i] = source_at(first + i);
+            block[i] = g.ServerIdAt(first + i);
           }
           partial.lanes += lanes;
 
@@ -394,8 +388,9 @@ AllPairsSweepStats SweepFromSourceFn(const G& g, std::size_t source_count,
           std::uint64_t level_count = 0;
           const auto flush = [&] {
             if (level_count == 0) return;
-            ForEachLane(level_bits,
-                        [&](std::size_t lane) { ecc[lane] = current_level; });
+            msbfs_detail::ForEachLane(level_bits, [&](std::size_t lane) {
+              ecc[lane] = current_level;
+            });
             const auto d = static_cast<std::size_t>(current_level);
             if (partial.at_distance.size() <= d) {
               partial.at_distance.resize(d + 1, 0);
@@ -426,7 +421,7 @@ AllPairsSweepStats SweepFromSourceFn(const G& g, std::size_t source_count,
           // Connectivity: every lane of this block must have reached every
           // server — one word compare per server.
           const std::uint64_t mask = MsBfsLaneMask(lanes);
-          for (std::size_t i = 0; i < g.ServerCount(); ++i) {
+          for (std::size_t i = 0; i < servers; ++i) {
             if ((ws->SeenWord(g.ServerIdAt(i)) & mask) != mask) {
               partial.connected = false;
               break;
@@ -464,27 +459,6 @@ AllPairsSweepStats SweepFromSourceFn(const G& g, std::size_t source_count,
     stats.pairs_at_distance[0] -= merged.lanes;
   }
   return stats;
-}
-
-}  // namespace msbfs_detail
-
-// One MS-BFS block per 64 servers, parallelized across blocks.
-template <TraversalGraph G>
-AllPairsSweepStats AllPairsDistanceSweep(const G& g) {
-  return msbfs_detail::SweepFromSourceFn(
-      g, g.ServerCount(), [&g](std::size_t i) { return g.ServerIdAt(i); });
-}
-
-// The same aggregates restricted to an explicit source list (each entry one
-// lane, duplicates allowed): `pairs`/`distance_total`/`radius` are over the
-// given sources only, `connected` means every source reached every server.
-// Backs the sampled sweeps and — with one source per role — the
-// symmetry-reduced exact stats (metrics/path_metrics.h).
-template <TraversalGraph G>
-AllPairsSweepStats DistanceSweepFromSources(const G& g,
-                                            std::span<const NodeId> sources) {
-  return msbfs_detail::SweepFromSourceFn(
-      g, sources.size(), [sources](std::size_t i) { return sources[i]; });
 }
 
 // --- CsrView overloads (the exact-match signatures existing callers use) ---

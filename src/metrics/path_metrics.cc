@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <limits>
 #include <utility>
 
 #include "common/error.h"
@@ -216,37 +217,57 @@ ExactPathStats ExactServerPathStats(const topo::ImplicitCube& net) {
 }
 
 ExactPathStats SymmetryReducedPathStats(const topo::ImplicitCube& net) {
-  // One representative server per role: ⟨0...0; j⟩. Digit translation maps
-  // any source onto its role's representative while permuting the servers,
-  // so representative j's distance multiset is every row's.
-  const auto m = static_cast<std::size_t>(net.Params().RowLength());
-  std::vector<graph::NodeId> reps(m);
-  for (std::size_t j = 0; j < m; ++j) {
-    reps[j] = net.ServerAtRow(0, static_cast<int>(j));
-  }
-  graph::AllPairsSweepStats sweep = graph::DistanceSweepFromSources(
-      net, std::span<const graph::NodeId>(reps));
-
-  const std::uint64_t rows = net.Params().RowCount();
+  // From ⟨0...0; j⟩, a server's distance depends only on its role and its
+  // set of nonzero digits, and equals the distance to the matching server of
+  // the binary cube (DESIGN.md §6). Binary row r stands for the
+  // (n-1)^popcount(r) rows that share its nonzero-digit set.
+  const topo::AbcccParams& params = net.Params();
+  const topo::ImplicitCube binary{topo::AbcccParams{2, params.k, params.c},
+                                  net.Family()};
+  const auto m = static_cast<std::size_t>(params.RowLength());
   ExactPathStats stats;
-  stats.diameter = sweep.diameter;
-  stats.radius = sweep.radius;
-  stats.connected = sweep.connected;
-  stats.pairs = topo::CheckedMul(sweep.pairs, rows);
-  // The full sweep's integer totals are exactly `rows` copies of the
-  // representative block's, so dividing the scaled totals reproduces the
-  // full-sweep average double bit for bit.
+  stats.radius = std::numeric_limits<int>::max();
+  std::uint64_t distance_total = 0;
+  graph::TraversalScope ws;
+  for (std::size_t j = 0; j < m; ++j) {
+    const graph::NodeId rep = binary.ServerAtRow(0, static_cast<int>(j));
+    graph::BfsDistances(binary, rep, *ws);
+    int eccentricity = 0;
+    for (std::size_t i = 0; i < binary.ServerCount(); ++i) {
+      const int d = ws->Dist(binary.ServerIdAt(i));
+      if (d == graph::kUnreachable) {
+        stats.connected = false;
+        continue;
+      }
+      if (d == 0) continue;  // the representative itself
+      const std::uint64_t w =
+          topo::CheckedPow(static_cast<std::uint64_t>(params.n - 1),
+                           static_cast<unsigned>(std::popcount(i / m)));
+      const auto at = static_cast<std::size_t>(d);
+      stats.pairs_at_distance.resize(
+          std::max(stats.pairs_at_distance.size(), at + 1), 0);
+      stats.pairs_at_distance[at] += w;
+      stats.pairs += w;
+      distance_total += w * static_cast<std::uint64_t>(d);
+      eccentricity = std::max(eccentricity, d);
+    }
+    stats.diameter = std::max(stats.diameter, eccentricity);
+    stats.radius = std::min(stats.radius, eccentricity);
+  }
+
+  // Every row's distance multiset is its representative's, so the full
+  // cube's integer totals are exactly RowCount() copies of these; dividing
+  // the scaled totals reproduces the full-sweep average double bit for bit.
+  const std::uint64_t rows = params.RowCount();
+  stats.pairs = topo::CheckedMul(stats.pairs, rows);
+  for (std::uint64_t& count : stats.pairs_at_distance) {
+    count = topo::CheckedMul(count, rows);
+  }
   stats.average =
       stats.pairs > 0
-          ? static_cast<double>(topo::CheckedMul(
-                static_cast<std::uint64_t>(sweep.distance_total), rows)) /
+          ? static_cast<double>(topo::CheckedMul(distance_total, rows)) /
                 static_cast<double>(stats.pairs)
           : 0.0;
-  stats.pairs_at_distance.resize(sweep.pairs_at_distance.size());
-  for (std::size_t d = 0; d < sweep.pairs_at_distance.size(); ++d) {
-    stats.pairs_at_distance[d] =
-        topo::CheckedMul(sweep.pairs_at_distance[d], rows);
-  }
   return stats;
 }
 

@@ -38,14 +38,16 @@ ExactPathStats ExactServerPathStats(const topo::Topology& net);
 // materialized overload on equal parameters (tests/test_implicit.cc).
 ExactPathStats ExactServerPathStats(const topo::ImplicitCube& net);
 
-// Exact path stats from role symmetry: translating every digit of a row
-// address by a fixed offset is an automorphism of the cube that acts
-// transitively on rows, so the multiset of distances out of a server depends
-// only on its role j. Sweeping the m = RowLength() representatives
-// ⟨0...0; j⟩ and scaling every count by RowCount() reproduces the full
-// ExactServerPathStats result exactly (including the average, computed from
-// the scaled integer totals) in O(m/64) BFS passes instead of O(S/64) —
-// the trick that makes exact million-server diameters interactive.
+// Exact path stats from the binary quotient cube. Digit translation is an
+// automorphism that acts transitively on rows, so every row's distance
+// multiset is that of the representatives ⟨0...0; j⟩, j < RowLength(). From
+// a representative, the distance to ⟨b; j'⟩ depends only on j' and the set
+// of nonzero digits of b, and equals the distance to the matching server of
+// ABCCC(2,k,c) (DESIGN.md §6). So m plain BFS passes over that 2^(k+1)-row
+// cube, each binary row weighted by the (n-1)^popcount servers it stands
+// for and every total scaled by RowCount(), reproduce the full
+// ExactServerPathStats result exactly — the average too, computed from the
+// scaled integer totals — in time and memory independent of n.
 ExactPathStats SymmetryReducedPathStats(const topo::ImplicitCube& net);
 
 struct SampledPathStats {

@@ -1,6 +1,7 @@
 #include "topology/custom.h"
 
 #include <algorithm>
+#include <charconv>
 #include <istream>
 #include <sstream>
 
@@ -8,6 +9,20 @@
 #include "graph/bfs.h"
 
 namespace dcn::topo {
+namespace {
+
+// Reads the next whitespace-separated token as a whole decimal node id: "1x",
+// "1.5", "+1" and values outside long all fail, where `stream >> long` would
+// accept a prefix.
+bool ReadNodeId(std::istream& fields, long& id) {
+  std::string token;
+  if (!(fields >> token)) return false;
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, id);
+  return ec == std::errc{} && ptr == end;
+}
+
+}  // namespace
 
 CustomTopology CustomTopology::FromStream(std::istream& in, std::string name) {
   CustomTopology net;
@@ -32,7 +47,7 @@ CustomTopology CustomTopology::FromStream(std::istream& in, std::string name) {
                   "custom topology: all nodes must precede links" + where());
       long id = -1;
       std::string role;
-      DCN_REQUIRE(static_cast<bool>(fields >> id >> role),
+      DCN_REQUIRE(ReadNodeId(fields, id) && static_cast<bool>(fields >> role),
                   "custom topology: expected 'node <id> server|switch'" + where());
       DCN_REQUIRE(id == static_cast<long>(g.NodeCount()),
                   "custom topology: node ids must be dense and in order" + where());
@@ -47,8 +62,12 @@ CustomTopology CustomTopology::FromStream(std::istream& in, std::string name) {
     } else if (kind == "link") {
       links_started = true;
       long u = -1, v = -1;
-      DCN_REQUIRE(static_cast<bool>(fields >> u >> v),
+      DCN_REQUIRE(ReadNodeId(fields, u) && ReadNodeId(fields, v),
                   "custom topology: expected 'link <u> <v>'" + where());
+      std::string extra;
+      DCN_REQUIRE(!(fields >> extra),
+                  "custom topology: unexpected '" + extra +
+                      "' after 'link <u> <v>'" + where());
       DCN_REQUIRE(u >= 0 && v >= 0 &&
                       u < static_cast<long>(g.NodeCount()) &&
                       v < static_cast<long>(g.NodeCount()),

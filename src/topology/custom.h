@@ -9,9 +9,11 @@
 // Format (one record per line, '#' comments and blank lines ignored):
 //   node <id> server|switch [label]
 //   link <id-u> <id-v>
-// Node ids must be dense 0..N-1 and declared before use; self-loops are
-// rejected. The format is deliberately trivial — it round-trips with
-// WriteEdgeCsv output via one awk invocation.
+// Node ids must be dense 0..N-1, written as whole decimal tokens, and
+// declared before use; a link line carries exactly its two endpoints, and
+// self-loops are rejected. Labels are free text to the end of the line. The
+// format is deliberately trivial — it round-trips with WriteEdgeCsv output
+// via one awk invocation.
 #pragma once
 
 #include <iosfwd>

@@ -104,6 +104,43 @@ TEST(CustomTopologyTest, MalformedInputsNameTheLine) {
   expect_error("node 0 switch\n", "at least one server");
 }
 
+TEST(CustomTopologyTest, LinkEndpointsMustBeWholeTokens) {
+  auto expect_error = [](const std::string& link, const std::string& needle) {
+    const std::string text = "node 0 server\nnode 1 server\n" + link + "\n";
+    try {
+      CustomTopology::FromString(text);
+      FAIL() << "expected InvalidArgument for: " << link;
+    } catch (const dcn::InvalidArgument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(needle), std::string::npos) << what;
+      EXPECT_NE(what.find("line 3"), std::string::npos) << what;
+    }
+  };
+  expect_error("link 0 1 2", "unexpected '2'");
+  expect_error("link 0 1 x", "unexpected 'x'");
+  expect_error("link 0 1x", "expected 'link");
+  expect_error("link 0x 1", "expected 'link");
+  expect_error("link 0 1.0", "expected 'link");
+  expect_error("link +0 1", "expected 'link");
+  expect_error("link 0 99999999999999999999", "expected 'link");
+  expect_error("link 0 -1", "out of range");
+  // A trailing comment is still stripped before the fields are read.
+  EXPECT_EQ(CustomTopology::FromString(
+                "node 0 server\nnode 1 server\nlink 0 1   # patch\n")
+                .LinkCount(),
+            1u);
+}
+
+TEST(CustomTopologyTest, NodeIdsMustBeWholeTokensButLabelsAreFreeText) {
+  EXPECT_THROW(CustomTopology::FromString("node 0x server\n"),
+               dcn::InvalidArgument);
+  EXPECT_THROW(CustomTopology::FromString("node +0 server\n"),
+               dcn::InvalidArgument);
+  const CustomTopology net =
+      CustomTopology::FromString("node 0 server rack 7, slot 2\n");
+  EXPECT_EQ(net.NodeLabel(0), "rack 7, slot 2");
+}
+
 TEST(CustomTopologyTest, UnreachableRouteThrows) {
   const CustomTopology net =
       CustomTopology::FromString("node 0 server\nnode 1 server\nnode 2 server\nlink 0 1\n");

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -160,8 +161,51 @@ TEST(ImplicitCubeTest, TraversalsMatchMaterialized) {
   }
 }
 
-TEST(ImplicitCubeTest, ExactStatsMatchAndSymmetryReductionIsExact) {
+TEST(ImplicitCubeTest, RepresentativeDistancesEqualBinaryQuotientDistances) {
+  // The lemma behind SymmetryReducedPathStats: the distance from ⟨0...0; j⟩
+  // to ⟨b; j'⟩ equals the ABCCC(2,k,c) distance from ⟨0...0; j⟩ to
+  // ⟨φ(b); j'⟩, where φ maps every nonzero digit to 1.
   for (const Case& c : AllCases()) {
+    SCOPED_TRACE(c.cube.Describe());
+    const topo::AbcccParams& params = c.cube.Params();
+    const topo::ImplicitCube binary{topo::AbcccParams{2, params.k, params.c},
+                                    c.cube.Family()};
+    const auto n = static_cast<std::uint64_t>(params.n);
+    graph::TraversalScope ws_full;
+    graph::TraversalScope ws_binary;
+    for (int j = 0; j < params.RowLength(); ++j) {
+      graph::BfsDistances(c.cube, c.cube.ServerAtRow(0, j), *ws_full);
+      graph::BfsDistances(binary, binary.ServerAtRow(0, j), *ws_binary);
+      for (std::uint64_t row = 0; row < params.RowCount(); ++row) {
+        std::uint64_t image = 0;
+        for (std::uint64_t rest = row, bit = 1; rest != 0;
+             rest /= n, bit <<= 1) {
+          if (rest % n != 0) image |= bit;
+        }
+        for (int role = 0; role < params.RowLength(); ++role) {
+          ASSERT_EQ(ws_full->Dist(c.cube.ServerAtRow(row, role)),
+                    ws_binary->Dist(binary.ServerAtRow(image, role)))
+              << "j=" << j << " row=" << row << " role=" << role;
+        }
+      }
+    }
+  }
+}
+
+TEST(ImplicitCubeTest, ExactStatsMatchAndSymmetryReductionIsExact) {
+  std::vector<Case> cases = AllCases();
+  // Shapes that stress the quotient weights: (n-1)^|D| up to 4^3 on
+  // ABCCC(5,2,3), a last role that agents one level on ABCCC(3,2,3) (k+1 is
+  // not a multiple of c-1), and the m == 1 and c == 2 families at n > 3.
+  cases.push_back(Case{std::make_unique<topo::Abccc>(topo::AbcccParams{5, 2, 3}),
+                       topo::ImplicitCube::MakeAbccc(5, 2, 3)});
+  cases.push_back(Case{std::make_unique<topo::Abccc>(topo::AbcccParams{3, 2, 3}),
+                       topo::ImplicitCube::MakeAbccc(3, 2, 3)});
+  cases.push_back(
+      Case{std::make_unique<topo::Bcube>(5, 2), topo::ImplicitCube::MakeBcube(5, 2)});
+  cases.push_back(
+      Case{std::make_unique<topo::Bccc>(4, 3), topo::ImplicitCube::MakeBccc(4, 3)});
+  for (const Case& c : cases) {
     SCOPED_TRACE(c.cube.Describe());
     const metrics::ExactPathStats full = metrics::ExactServerPathStats(*c.net);
     const metrics::ExactPathStats implicit_full =

@@ -131,6 +131,20 @@ TEST_F(ParallelTest, EnvVariableControlsAutomaticCount) {
   EXPECT_THROW(ThreadCount(), InvalidArgument);
 }
 
+TEST_F(ParallelTest, EnvVariableMustBeAWholeIntInRange) {
+  SetThreadCount(0);
+  // 2^32 + 1 used to wrap to 1 through a long -> int cast.
+  for (const char* bad : {"4294967297", "2147483648", " 4", "+4", "4 ", "4x",
+                          "-4", "0x4"}) {
+    setenv("DCN_THREADS", bad, 1);
+    EXPECT_THROW(ThreadCount(), InvalidArgument) << "'" << bad << "'";
+  }
+  setenv("DCN_THREADS", "2147483647", 1);
+  EXPECT_EQ(ThreadCount(), 2147483647);
+  setenv("DCN_THREADS", "4", 1);
+  EXPECT_EQ(ThreadCount(), 4);
+}
+
 TEST_F(ParallelTest, ConfigureThreadsReadsCliFlag) {
   const char* argv[] = {"prog", "--threads=2"};
   ConfigureThreads(CliArgs{2, argv});
@@ -141,6 +155,14 @@ TEST_F(ParallelTest, ConfigureThreadsReadsCliFlag) {
   EXPECT_EQ(ThreadCount(), 7);  // 0 = automatic, falls back to the env var
   const char* bad[] = {"prog", "--threads=-1"};
   EXPECT_THROW(ConfigureThreads(CliArgs{2, bad}), InvalidArgument);
+  // Above INT_MAX used to wrap negative and silently mean "automatic".
+  const char* huge[] = {"prog", "--threads=2147483648"};
+  EXPECT_THROW(ConfigureThreads(CliArgs{2, huge}), InvalidArgument);
+  EXPECT_EQ(ThreadCount(), 7);
+  const char* wrap[] = {"prog", "--threads=4294967298"};
+  EXPECT_THROW(ConfigureThreads(CliArgs{2, wrap}), InvalidArgument);
+  const char* plus[] = {"prog", "--threads=+2"};
+  EXPECT_THROW(ConfigureThreads(CliArgs{2, plus}), InvalidArgument);
 }
 
 TEST_F(ParallelTest, SetThreadCountRejectedInsideRegion) {
