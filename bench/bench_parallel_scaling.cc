@@ -92,7 +92,7 @@ int main(int argc, char** argv) {
 
   // Shared packet-sim workload: permutation traffic over the same ABCCC
   // instance, hot enough that the event loop dominates. The sharded engine is
-  // anchored to the retained serial deque-store baseline.
+  // anchored to the serial reference event loop.
   Rng traffic_rng{bench::kDefaultSeed};
   const std::vector<routing::Route> psim_routes =
       sim::NativeRoutes(net, sim::PermutationTraffic(net, traffic_rng));
@@ -201,10 +201,10 @@ int main(int argc, char** argv) {
          return psim_digest(
              sim::RunPacketSim(net.Network(), psim_routes, psim_config));
        },
-       // The retained deque-store serial loop, byte-identical by contract
+       // The serial reference loop, byte-identical by contract
        // (packetsim.h); run single-threaded it anchors the speedup column.
        [&] {
-         return psim_digest(sim::RunPacketSimLegacyBaseline(
+         return psim_digest(sim::RunPacketSimSerial(
              net.Network(), psim_routes, psim_config));
        },
        // Honest single-core floor: the sharded engine must stay within 2x of

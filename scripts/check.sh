@@ -57,13 +57,13 @@ python3 scripts/validate_trace.py build/trace_f9_flight.json \
   --expect-span packetsim/run --expect-flight
 # The telemetry-sketch registries (obs/sketch.h, obs/rollup.h) must export
 # schema-valid, internally consistent blocks with the packetsim telemetry
-# populated. scripts/validate_stats.py asserts the sketch/heavy-hitter/rollup
-# invariants (counts reconcile, quantiles monotone, level totals agree).
+# populated. scripts/validate_stats.py asserts the sketch/rollup invariants
+# (counts reconcile, quantiles monotone, level totals agree, each level's
+# top-K ordered and bounded by its total).
 python3 scripts/validate_stats.py build/f9_stats.json \
   --expect-sketch packetsim/latency --expect-sketch packetsim/slowdown \
-  --expect-heavy-hitters packetsim/hot_links \
-  --expect-heavy-hitters packetsim/elephant_flows \
-  --expect-rollup packetsim/links --expect-counter packetsim/runs
+  --expect-rollup packetsim/links --expect-rollup packetsim/flows \
+  --expect-counter packetsim/runs
 if ! diff <(sed -n '/== F9: packet-level/,/^$/p' build/f9_plain.txt) \
           <(sed -n '/== F9: packet-level/,/^$/p' build/f9_flight.txt); then
   echo "error: F9 table changed with the flight recorder enabled" >&2

@@ -1,23 +1,29 @@
 #!/usr/bin/env python3
 """Schema check for the stats JSON emitted by obs/report.h (--stats-json).
 
-Asserts the document is one object with the six registry blocks and that the
-sketch-layer blocks (obs/sketch.h, obs/rollup.h) are internally consistent:
+Asserts the document is one object with the seven registry blocks and that
+the sketch-layer blocks (obs/sketch.h, obs/rollup.h) are internally
+consistent:
 
   * top level is an object with counters / gauges / histograms / timers /
-    sketches / heavy_hitters / rollups (all objects, possibly empty);
+    sketches / rollups / alerts (all objects, possibly empty);
   * counters and gauges map names to integers; histogram and timer entries
     carry their integer count fields;
   * every sketch entry has integer count/zero and numeric
     relative_accuracy/min/max/mean/p50/p90/p99/p999 with
     zero + sum(buckets) == count, monotone quantiles
     p50 <= p90 <= p99 <= p999, and min <= p50, p999 <= max;
-  * every heavy-hitter entry has capacity >= 1, at most capacity entries,
-    each with integer key/count/error, error <= count, sorted by
-    (count desc, key asc), and floor <= total_weight;
   * every rollup entry's levels all report the identical total and leaves
     (each level's total IS the flat sum — that is the rollup invariant),
-    with max_group.total <= total and per-level quantile count == groups.
+    with per-level quantile count == groups;
+  * every rollup level's 'top' array holds integer {key, total} entries
+    with unique keys in strict (total desc, key asc) order, at most
+    'groups' of them, whose totals sum to at most the level total — and
+    to exactly the level total when every group is listed (the tier and
+    fabric levels). These are consistency checks only: an inflated top-K
+    that still sums to the total would pass them, so the exactness of the
+    listed totals is proven by the brute-force oracle in
+    tests/test_rollup.cc, not here.
 
   * the alerts block (obs/monitor.h) holds a 'runs' array whose entries
     carry monotone non-decreasing event times, entity indices inside the
@@ -26,13 +32,12 @@ sketch-layer blocks (obs/sketch.h, obs/rollup.h) are internally consistent:
     run scheduled no faults (no false alarms on fault-free runs).
 
 Usage: validate_stats.py STATS.json [--expect-sketch NAME]
-                         [--expect-heavy-hitters NAME] [--expect-rollup NAME]
-                         [--expect-counter NAME] [--expect-fired]
-                         [--alerts]
+                         [--expect-rollup NAME] [--expect-counter NAME]
+                         [--expect-fired] [--alerts]
 
 The --expect-* flags (repeatable) additionally require a named entry with
 nonzero data — CI uses them to prove a telemetry-enabled benchmark really
-exported sketches, heavy hitters, and rollups; --expect-fired requires at
+exported sketches and rollups; --expect-fired requires at
 least one fired alert across monitor runs. With --alerts the input is a
 standalone --alerts-json document (the bare {"runs": [...]} object) and only
 the alerts schema is checked.
@@ -50,7 +55,6 @@ BLOCKS = (
     "histograms",
     "timers",
     "sketches",
-    "heavy_hitters",
     "rollups",
     "alerts",
 )
@@ -109,46 +113,40 @@ def validate_sketch(name, sketch, errors):
         errors.append(f"{where}: relative_accuracy outside (0, 1)")
 
 
-def validate_heavy_hitters(name, hitters, errors):
-    where = f"heavy_hitters[{name!r}]"
-    if not isinstance(hitters, dict):
-        errors.append(f"{where}: not an object")
+def validate_top(where, level, errors):
+    """Checks one rollup level's exact top-K list against its totals."""
+    top = level.get("top")
+    if not isinstance(top, list):
+        errors.append(f"{where}: missing 'top' array")
         return
-    capacity = hitters.get("capacity")
-    total = hitters.get("total_weight")
-    floor = hitters.get("floor")
-    entries = hitters.get("entries")
-    if not is_int(capacity) or capacity < 1:
-        errors.append(f"{where}: capacity must be an integer >= 1")
-        return
-    if not is_int(total) or total < 0 or not is_int(floor) or floor < 0:
-        errors.append(f"{where}: total_weight/floor must be integers >= 0")
-        return
-    if floor > total:
-        errors.append(f"{where}: floor ({floor}) > total_weight ({total})")
-    if not isinstance(entries, list):
-        errors.append(f"{where}: missing array 'entries'")
-        return
-    if len(entries) > capacity:
-        errors.append(
-            f"{where}: {len(entries)} entries exceed capacity {capacity}")
     previous = None
-    for i, entry in enumerate(entries):
-        if (not isinstance(entry, dict)
-                or not all(is_int(entry.get(f)) for f in
-                           ("key", "count", "error"))):
+    keys = set()
+    listed = 0
+    for i, entry in enumerate(top):
+        if (not isinstance(entry, dict) or set(entry) != {"key", "total"}
+                or not all(is_int(entry[f]) for f in ("key", "total"))):
+            errors.append(f"{where}: top[{i}] must be integer {{key, total}}")
+            return
+        if entry["key"] in keys:
+            errors.append(f"{where}: top[{i}] repeats key {entry['key']}")
+        keys.add(entry["key"])
+        order = (-entry["total"], entry["key"])
+        if previous is not None and order <= previous:
             errors.append(
-                f"{where}: entries[{i}] needs integer key/count/error")
-            continue
-        if entry["error"] > entry["count"]:
-            errors.append(
-                f"{where}: entries[{i}] error {entry['error']} exceeds "
-                f"count {entry['count']}")
-        order = (-entry["count"], entry["key"])
-        if previous is not None and order < previous:
-            errors.append(
-                f"{where}: entries[{i}] breaks (count desc, key asc) order")
+                f"{where}: top[{i}] breaks strict (total desc, key asc) order")
         previous = order
+        listed += entry["total"]
+    if len(top) > level["groups"]:
+        errors.append(
+            f"{where}: {len(top)} top entries exceed {level['groups']} groups")
+    if listed > level["total"]:
+        errors.append(
+            f"{where}: top totals sum to {listed}, above the level total "
+            f"{level['total']}")
+    elif len(top) == level["groups"] and listed != level["total"]:
+        errors.append(
+            f"{where}: every group is listed but the top totals sum to "
+            f"{listed}, not the level total {level['total']}")
 
 
 def validate_rollup(name, rollup, errors):
@@ -172,15 +170,7 @@ def validate_rollup(name, rollup, errors):
         else:
             totals.add(level["total"])
             leaves.add(level["leaves"])
-            max_group = level.get("max_group")
-            if (not isinstance(max_group, dict)
-                    or not is_int(max_group.get("key"))
-                    or not is_int(max_group.get("total"))):
-                errors.append(f"{lw}: missing max_group {{key, total}}")
-            elif max_group["total"] > level["total"]:
-                errors.append(
-                    f"{lw}: max_group.total {max_group['total']} exceeds "
-                    f"level total {level['total']}")
+            validate_top(lw, level, errors)
             quantiles = level.get("quantiles")
             if not isinstance(quantiles, dict) or not is_int(
                     quantiles.get("count")):
@@ -189,8 +179,6 @@ def validate_rollup(name, rollup, errors):
                 errors.append(
                     f"{lw}: quantile count {quantiles['count']} != groups "
                     f"{level['groups']} (Summarize feeds one value per group)")
-            if not isinstance(level.get("top"), list):
-                errors.append(f"{lw}: missing 'top' array")
     if len(totals) > 1:
         errors.append(
             f"{where}: level totals disagree ({sorted(totals)}) — every "
@@ -301,8 +289,6 @@ def validate(stats, args):
 
     for name, sketch in stats["sketches"].items():
         validate_sketch(name, sketch, errors)
-    for name, hitters in stats["heavy_hitters"].items():
-        validate_heavy_hitters(name, hitters, errors)
     for name, rollup in stats["rollups"].items():
         validate_rollup(name, rollup, errors)
     fired = validate_alerts(stats["alerts"], errors)
@@ -313,10 +299,6 @@ def validate(stats, args):
         sketch = stats["sketches"].get(name)
         if not isinstance(sketch, dict) or not sketch.get("count"):
             errors.append(f"expected sketch {name!r} with nonzero count")
-    for name in args.expect_heavy_hitters:
-        hitters = stats["heavy_hitters"].get(name)
-        if not isinstance(hitters, dict) or not hitters.get("entries"):
-            errors.append(f"expected heavy-hitter summary {name!r} with entries")
     for name in args.expect_rollup:
         rollup = stats["rollups"].get(name)
         if (not isinstance(rollup, dict)
@@ -334,7 +316,6 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("stats", help="stats JSON file (--stats-json output)")
     parser.add_argument("--expect-sketch", action="append", default=[])
-    parser.add_argument("--expect-heavy-hitters", action="append", default=[])
     parser.add_argument("--expect-rollup", action="append", default=[])
     parser.add_argument("--expect-counter", action="append", default=[])
     parser.add_argument("--expect-fired", action="store_true",

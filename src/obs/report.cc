@@ -97,14 +97,6 @@ Table ReportTable(const Snapshot& snapshot) {
                   Table::Cell(row.sketch.ApproxMean(), 3),
                   Table::Cell(row.sketch.Max(), 3)});
   }
-  for (const HeavyHittersRow& row : TakeHeavyHittersSnapshot()) {
-    const std::vector<HeavyHitters::Entry> top = row.hitters.Top();
-    if (top.empty()) continue;
-    table.AddRow({row.name, "top-k", Table::Cell(row.hitters.TotalWeight()),
-                  "key " + Table::Cell(top.front().key),
-                  Table::Cell(static_cast<std::uint64_t>(top.size())),
-                  Table::Cell(top.front().count)});
-  }
   for (const RollupRow& row : TakeRollupSnapshot()) {
     for (const Rollup::LevelSummary& level : row.rollup.Summarize()) {
       if (level.groups == 0) continue;
@@ -113,7 +105,7 @@ Table ReportTable(const Snapshot& snapshot) {
                     Table::Cell(static_cast<double>(level.total) /
                                     static_cast<double>(level.groups),
                                 3),
-                    Table::Cell(level.max_group_total)});
+                    Table::Cell(level.top.front().total)});
     }
   }
   return table;
@@ -194,24 +186,6 @@ void WriteStatsJson(std::ostream& out, const Snapshot& snapshot) {
   }
   out << "\n},\n";
 
-  out << "\"heavy_hitters\": {";
-  const std::vector<HeavyHittersRow> hitters = TakeHeavyHittersSnapshot();
-  for (std::size_t i = 0; i < hitters.size(); ++i) {
-    const HeavyHittersRow& row = hitters[i];
-    out << (i == 0 ? "\n" : ",\n") << "  \"" << JsonEscape(row.name)
-        << "\": {\"capacity\": " << row.hitters.Capacity()
-        << ", \"total_weight\": " << row.hitters.TotalWeight()
-        << ", \"floor\": " << row.hitters.Floor() << ", \"entries\": [";
-    const std::vector<HeavyHitters::Entry> top = row.hitters.Top();
-    for (std::size_t e = 0; e < top.size(); ++e) {
-      out << (e == 0 ? "" : ", ") << "{\"key\": " << top[e].key
-          << ", \"count\": " << top[e].count << ", \"error\": " << top[e].error
-          << "}";
-    }
-    out << "]}";
-  }
-  out << "\n},\n";
-
   out << "\"rollups\": {";
   const std::vector<RollupRow> rollups = TakeRollupSnapshot();
   for (std::size_t i = 0; i < rollups.size(); ++i) {
@@ -224,14 +198,10 @@ void WriteStatsJson(std::ostream& out, const Snapshot& snapshot) {
       out << (l == 0 ? "\n" : ",\n") << "    {\"name\": \""
           << JsonEscape(level.name) << "\", \"groups\": " << level.groups
           << ", \"leaves\": " << level.leaves
-          << ", \"total\": " << level.total
-          << ", \"max_group\": {\"key\": " << level.max_group_key
-          << ", \"total\": " << level.max_group_total << "}, \"top\": [";
-      const std::vector<HeavyHitters::Entry> top = level.top.Top();
-      for (std::size_t e = 0; e < top.size(); ++e) {
-        out << (e == 0 ? "" : ", ") << "{\"key\": " << top[e].key
-            << ", \"count\": " << top[e].count
-            << ", \"error\": " << top[e].error << "}";
+          << ", \"total\": " << level.total << ", \"top\": [";
+      for (std::size_t e = 0; e < level.top.size(); ++e) {
+        out << (e == 0 ? "" : ", ") << "{\"key\": " << level.top[e].key
+            << ", \"total\": " << level.top[e].total << "}";
       }
       out << "], \"quantiles\": {\"count\": " << level.quantiles.Count()
           << ", \"p50\": " << JsonDouble(level.quantiles.Quantile(0.50))

@@ -49,19 +49,21 @@ namespace dcn::obs {
 
 // One row per registered metric, in registration order: counters (value),
 // gauges (max), histograms (count/mean/max), timers (count/total-ms/mean-us),
-// then the sketch-layer registries (quantile sketches, heavy hitters, rollup
-// levels — obs/sketch.h, obs/rollup.h), which are read live from their own
-// registries rather than from `snapshot`.
+// then the sketch-layer registries (quantile sketches and rollup levels —
+// obs/sketch.h, obs/rollup.h), which are read live from their own
+// registries rather than from `snapshot`. A rollup level's max column is its
+// busiest group's exact total.
 Table ReportTable(const Snapshot& snapshot);
 Table ReportTable();
 
 // {"counters": {...}, "gauges": {...}, "histograms": {...}, "timers": {...},
-//  "sketches": {...}, "heavy_hitters": {...}, "rollups": {...},
-//  "alerts": {...}} — the sketch-layer blocks snapshot their registries live
-// and "alerts" embeds the monitor's published runs (always present, possibly
-// empty; schema checked by scripts/validate_stats.py). Counter, histogram,
-// sketch, and alert contents are deterministic at any thread count; timer
-// durations are wall-clock and vary run to run.
+//  "sketches": {...}, "rollups": {...}, "alerts": {...}} — the sketch-layer
+// blocks snapshot their registries live and "alerts" embeds the monitor's
+// published runs (always present, possibly empty; schema checked by
+// scripts/validate_stats.py). Each rollup level exports its exact top groups
+// as {"key", "total"} entries. Counter, histogram, sketch, rollup, and alert
+// contents are deterministic at any thread count; timer durations are
+// wall-clock and vary run to run.
 void WriteStatsJson(std::ostream& out, const Snapshot& snapshot);
 void WriteStatsJsonFile(const std::string& path);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstddef>
 #include <memory>
 #include <mutex>
 #include <utility>
@@ -54,27 +55,28 @@ std::vector<Rollup::LevelSummary> Rollup::Summarize(
   std::vector<LevelSummary> summaries;
   summaries.reserve(levels_.size());
   for (std::size_t level = 0; level < levels_.size(); ++level) {
-    LevelSummary summary{level_names_[level],
-                         0,
-                         0,
-                         0,
-                         0,
-                         0,
-                         HeavyHitters{top_k},
+    LevelSummary summary{level_names_[level], 0, 0, 0, {},
                          QuantileSketch{relative_accuracy}};
+    std::vector<GroupTotal> groups;
+    groups.reserve(levels_[level].size());
     // Ascending group order: the summary is a pure function of the merged
     // totals, not of how they were accumulated.
     for (const auto& [key, agg] : levels_[level]) {
       ++summary.groups;
       summary.leaves += agg.leaves;
       summary.total += agg.total;
-      if (summary.groups == 1 || agg.total > summary.max_group_total) {
-        summary.max_group_key = key;
-        summary.max_group_total = agg.total;
-      }
-      summary.top.Add(key, static_cast<std::uint64_t>(agg.total));
       summary.quantiles.Add(static_cast<double>(agg.total));
+      groups.push_back({key, agg.total});
     }
+    const auto keep = groups.begin() + static_cast<std::ptrdiff_t>(
+                                           std::min(top_k, groups.size()));
+    std::partial_sort(groups.begin(), keep, groups.end(),
+                      [](const GroupTotal& a, const GroupTotal& b) {
+                        return a.total != b.total ? a.total > b.total
+                                                  : a.key < b.key;
+                      });
+    groups.erase(keep, groups.end());
+    summary.top = std::move(groups);
     summaries.push_back(std::move(summary));
   }
   return summaries;

@@ -9,16 +9,18 @@
 // keeps exact integer totals per group, so every level's total equals the
 // flat sum of the leaves — aggregation loses nothing but the grouping.
 // Summarize() then compresses each level into O(K + buckets): the exact
-// group count / total / max, a top-K heavy-hitter view of the group totals,
-// and a quantile sketch over them (obs/sketch.h), which is what the
-// stats-JSON sink exports. The in-memory state is bounded by the number of
-// DISTINCT groups (graph elements), not by how many values were added, and
-// the export is O(levels * (K + buckets)) regardless of either.
+// group count / total, the exact top-K groups by total, and a quantile
+// sketch over the group totals (obs/sketch.h), which is what the stats-JSON
+// sink exports. This is the one per-element top-K in the tree: every
+// simulator tally that names hot links, nodes or routes is a rollup level.
+// The in-memory state is bounded by the number of DISTINCT groups (graph
+// elements), not by how many values were added, and the export is
+// O(levels * (K + buckets)) regardless of either.
 //
 // Determinism: totals are exact integers keyed by group id and Merge adds
 // them key-wise, so merged rollups are bit-identical in any merge order.
-// Summarize() feeds the per-level sketches in ascending group order from the
-// merged totals — a pure function of the rollup's content.
+// Summarize() reads the merged totals in ascending group order and breaks
+// top-K ties by key — a pure function of the rollup's content.
 //
 // Registry handles (GetRollup) follow obs/sketch.h: named process-global
 // metrics backed by per-thread shards merged in registration x shard order,
@@ -50,8 +52,7 @@ class Rollup {
   };
 
   // One leaf observation: groups[i] is the element's group id at level i
-  // (size must equal LevelCount()); `value` must be >= 0 (it feeds
-  // heavy-hitter weights in Summarize).
+  // (size must equal LevelCount()); `value` must be >= 0.
   void Add(std::span<const std::int64_t> groups, std::int64_t value);
   // Key-wise exact addition. A default-constructed (zero-level) target
   // adopts the other rollup's levels; otherwise the level names must match.
@@ -60,14 +61,18 @@ class Rollup {
   // Exact per-group aggregates of one level, keyed by group id.
   const std::map<std::int64_t, GroupAgg>& Level(std::size_t level) const;
 
+  struct GroupTotal {
+    std::int64_t key = 0;
+    std::int64_t total = 0;
+  };
   struct LevelSummary {
     std::string name;
     std::uint64_t groups = 0;  // distinct group ids seen
     std::uint64_t leaves = 0;  // Add calls (identical across levels)
     std::int64_t total = 0;    // flat sum (identical across levels)
-    std::int64_t max_group_key = 0;  // largest total (ties: smallest key)
-    std::int64_t max_group_total = 0;
-    HeavyHitters top;          // group totals, capacity top_k
+    // The min(top_k, groups) largest groups, exact, ordered by
+    // (total desc, key asc); front() is the busiest group.
+    std::vector<GroupTotal> top;
     QuantileSketch quantiles;  // distribution of the group totals
   };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <utility>
@@ -132,93 +133,6 @@ std::vector<QuantileSketch::Bucket> QuantileSketch::Buckets() const {
 }
 
 // ---------------------------------------------------------------------------
-// HeavyHitters
-
-HeavyHitters::HeavyHitters(std::size_t capacity) : capacity_(capacity) {
-  DCN_REQUIRE(capacity >= 1, "heavy-hitter capacity must be >= 1");
-}
-
-void HeavyHitters::Add(std::int64_t key, std::uint64_t weight) {
-  if (weight == 0) return;
-  total_ += weight;
-  if (const auto it = entries_.find(key); it != entries_.end()) {
-    it->second.count += weight;
-    return;
-  }
-  if (entries_.size() < capacity_) {
-    // A fresh key could have appeared up to floor_ times before tracking
-    // started (floor_ > 0 only after evictions or merges).
-    entries_.emplace(key, Counts{weight + floor_, floor_});
-    return;
-  }
-  // Space-Saving eviction: replace the minimum-count entry; among equal
-  // minima the LARGEST key leaves, so smaller keys are the stable survivors.
-  auto victim = entries_.begin();
-  for (auto it = std::next(entries_.begin()); it != entries_.end(); ++it) {
-    if (it->second.count <= victim->second.count) victim = it;
-  }
-  const std::uint64_t inherited = victim->second.count;
-  entries_.erase(victim);
-  entries_.emplace(key, Counts{inherited + weight, inherited});
-  floor_ = std::max(floor_, inherited);
-}
-
-void HeavyHitters::Merge(const HeavyHitters& other) {
-  DCN_REQUIRE(capacity_ == other.capacity_,
-              "cannot merge heavy-hitter summaries with different capacities");
-  DCN_REQUIRE(this != &other, "cannot merge a heavy-hitter summary into itself");
-  // Mergeable-summaries union: a key absent from one side may have occurred
-  // up to that side's floor times there.
-  std::vector<Entry> merged;
-  merged.reserve(entries_.size() + other.entries_.size());
-  auto a = entries_.begin();
-  auto b = other.entries_.begin();
-  while (a != entries_.end() || b != other.entries_.end()) {
-    if (b == other.entries_.end() ||
-        (a != entries_.end() && a->first < b->first)) {
-      merged.push_back({a->first, a->second.count + other.floor_,
-                        a->second.error + other.floor_});
-      ++a;
-    } else if (a == entries_.end() || b->first < a->first) {
-      merged.push_back(
-          {b->first, b->second.count + floor_, b->second.error + floor_});
-      ++b;
-    } else {
-      merged.push_back({a->first, a->second.count + b->second.count,
-                        a->second.error + b->second.error});
-      ++a;
-      ++b;
-    }
-  }
-  std::sort(merged.begin(), merged.end(), [](const Entry& x, const Entry& y) {
-    return x.count != y.count ? x.count > y.count : x.key < y.key;
-  });
-  std::uint64_t floor = floor_ + other.floor_;
-  entries_.clear();
-  for (std::size_t i = 0; i < merged.size(); ++i) {
-    if (i < capacity_) {
-      entries_.emplace(merged[i].key, Counts{merged[i].count, merged[i].error});
-    } else {
-      floor = std::max(floor, merged[i].count);
-    }
-  }
-  floor_ = floor;
-  total_ += other.total_;
-}
-
-std::vector<HeavyHitters::Entry> HeavyHitters::Top() const {
-  std::vector<Entry> top;
-  top.reserve(entries_.size());
-  for (const auto& [key, counts] : entries_) {
-    top.push_back({key, counts.count, counts.error});
-  }
-  std::sort(top.begin(), top.end(), [](const Entry& x, const Entry& y) {
-    return x.count != y.count ? x.count > y.count : x.key < y.key;
-  });
-  return top;
-}
-
-// ---------------------------------------------------------------------------
 // Registry (mirrors obs/timeseries.cc: per-thread shards, leaky singleton,
 // epoch-invalidated thread-local shard pointers).
 
@@ -230,26 +144,17 @@ struct SketchInfo {
   std::unique_ptr<SketchMetric> handle;
 };
 
-struct HittersInfo {
-  std::string name;
-  std::size_t capacity = 0;
-  std::unique_ptr<HeavyHittersMetric> handle;
-};
-
 // One thread's slice of every metric, written only by the owning thread;
 // snapshots read after the writing region completed (the pool's completion
 // sync is the happens-before edge, as for the obs metric shards).
 struct SketchShard {
   std::vector<std::unique_ptr<QuantileSketch>> sketches;  // by sketch id
-  std::vector<std::unique_ptr<HeavyHitters>> hitters;     // by hitters id
 };
 
 struct SketchRegistry {
   std::mutex mutex;
   std::vector<SketchInfo> sketches;  // registration order
   std::map<std::string, std::size_t, std::less<>> sketch_ids;
-  std::vector<HittersInfo> hitters;  // registration order
-  std::map<std::string, std::size_t, std::less<>> hitters_ids;
   std::vector<std::unique_ptr<SketchShard>> shards;  // shard creation order
   std::uint64_t epoch = 0;
 };
@@ -282,15 +187,6 @@ QuantileSketch& SketchSlot(SketchShard& shard, std::size_t id, double alpha) {
   return *shard.sketches[id];
 }
 
-HeavyHitters& HittersSlot(SketchShard& shard, std::size_t id,
-                          std::size_t capacity) {
-  if (shard.hitters.size() <= id) shard.hitters.resize(id + 1);
-  if (shard.hitters[id] == nullptr) {
-    shard.hitters[id] = std::make_unique<HeavyHitters>(capacity);
-  }
-  return *shard.hitters[id];
-}
-
 }  // namespace
 
 void SketchMetric::Observe(double value, std::uint64_t weight) {
@@ -308,26 +204,6 @@ QuantileSketch SketchMetric::Merged() const {
   for (const auto& shard : reg.shards) {
     if (shard->sketches.size() > id_ && shard->sketches[id_] != nullptr) {
       merged.Merge(*shard->sketches[id_]);
-    }
-  }
-  return merged;
-}
-
-void HeavyHittersMetric::Add(std::int64_t key, std::uint64_t weight) {
-  HittersSlot(LocalShard(), id_, capacity_).Add(key, weight);
-}
-
-void HeavyHittersMetric::Merge(const HeavyHitters& partial) {
-  HittersSlot(LocalShard(), id_, capacity_).Merge(partial);
-}
-
-HeavyHitters HeavyHittersMetric::Merged() const {
-  HeavyHitters merged{capacity_};
-  SketchRegistry& reg = Reg();
-  std::lock_guard<std::mutex> lock{reg.mutex};
-  for (const auto& shard : reg.shards) {
-    if (shard->hitters.size() > id_ && shard->hitters[id_] != nullptr) {
-      merged.Merge(*shard->hitters[id_]);
     }
   }
   return merged;
@@ -354,28 +230,6 @@ SketchMetric& GetQuantileSketch(std::string_view name,
   return *reg.sketches.back().handle;
 }
 
-HeavyHittersMetric& GetHeavyHitters(std::string_view name,
-                                    std::size_t capacity) {
-  SketchRegistry& reg = Reg();
-  std::lock_guard<std::mutex> lock{reg.mutex};
-  if (const auto it = reg.hitters_ids.find(name); it != reg.hitters_ids.end()) {
-    HittersInfo& info = reg.hitters[it->second];
-    DCN_REQUIRE(info.capacity == capacity,
-                "heavy-hitter metric re-registered with a different "
-                "capacity: " +
-                    std::string{name});
-    return *info.handle;
-  }
-  const std::size_t id = reg.hitters.size();
-  HittersInfo info;
-  info.name = std::string{name};
-  info.capacity = capacity;
-  info.handle.reset(new HeavyHittersMetric{id, capacity});
-  reg.hitters_ids.emplace(info.name, id);
-  reg.hitters.push_back(std::move(info));
-  return *reg.hitters.back().handle;
-}
-
 std::vector<SketchRow> TakeSketchSnapshot() {
   SketchRegistry& reg = Reg();
   std::lock_guard<std::mutex> lock{reg.mutex};
@@ -387,24 +241,6 @@ std::vector<SketchRow> TakeSketchSnapshot() {
     for (const auto& shard : reg.shards) {
       if (shard->sketches.size() > id && shard->sketches[id] != nullptr) {
         row.sketch.Merge(*shard->sketches[id]);
-      }
-    }
-    rows.push_back(std::move(row));
-  }
-  return rows;
-}
-
-std::vector<HeavyHittersRow> TakeHeavyHittersSnapshot() {
-  SketchRegistry& reg = Reg();
-  std::lock_guard<std::mutex> lock{reg.mutex};
-  std::vector<HeavyHittersRow> rows;
-  rows.reserve(reg.hitters.size());
-  for (std::size_t id = 0; id < reg.hitters.size(); ++id) {
-    HeavyHittersRow row{reg.hitters[id].name,
-                        HeavyHitters{reg.hitters[id].capacity}};
-    for (const auto& shard : reg.shards) {
-      if (shard->hitters.size() > id && shard->hitters[id] != nullptr) {
-        row.hitters.Merge(*shard->hitters[id]);
       }
     }
     rows.push_back(std::move(row));

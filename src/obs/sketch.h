@@ -1,5 +1,6 @@
-// Deterministic, mergeable telemetry sketches: bounded-error quantiles and
-// top-K heavy hitters in O(buckets + K) space regardless of stream length.
+// Deterministic, mergeable telemetry sketches: bounded-error quantiles in
+// O(buckets) space regardless of stream length. (Per-element top-K views —
+// hot links, nodes, routes — are exact and live in obs/rollup.h.)
 //
 // QuantileSketch — a DDSketch-style log-bucketed quantile summary. Values are
 // hashed to geometric buckets index = ceil(log(v) / log(gamma)) with
@@ -13,30 +14,13 @@
 // in any merge order, which is what makes the registry handles below safe to
 // feed from any thread at any DCN_THREADS.
 //
-// HeavyHitters — a Space-Saving (Misra–Gries family) top-K summary over
-// integer keys (links, switches, flow ids) with integer weights. Each tracked
-// entry carries (count, error) with the classic guarantee
-//     count - error <= true_weight(key) <= count
-// and error <= TotalWeight() / Capacity() for a single-stream summary (the
-// mergeable-summaries bound total/K continues to hold across Merge). All
-// tie-breaks are by key — eviction removes the minimum-count entry with the
-// LARGEST key, Top() orders by (count desc, key asc) — so a given add
-// sequence produces one well-defined summary. Note that unlike the quantile
-// sketch, Merge is commutative but NOT associative (pruning loses
-// information), so deterministic use requires a deterministic merge tree:
-// feed registry handles from the coordinating thread after a run (as the
-// simulators do), or merge explicit partials in fixed chunk order
-// (common/parallel.h ParallelMapReduce).
-//
-// Registry handles (GetQuantileSketch / GetHeavyHitters) mirror
-// obs/timeseries.h: named process-global metrics backed by per-thread shards
-// merged in registration x shard order, flushed into the stats-JSON /
-// --obs-report sinks by obs/report.cc, and cleared (registrations kept) by
-// obs::Reset().
+// Registry handles (GetQuantileSketch) mirror obs/timeseries.h: named
+// process-global metrics backed by per-thread shards merged in registration
+// x shard order, flushed into the stats-JSON / --obs-report sinks by
+// obs/report.cc, and cleared (registrations kept) by obs::Reset().
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -101,41 +85,6 @@ class QuantileSketch {
   std::vector<std::uint64_t> counts_;
 };
 
-class HeavyHitters {
- public:
-  explicit HeavyHitters(std::size_t capacity);
-
-  // Adds `weight` occurrences of `key`. O(log K).
-  void Add(std::int64_t key, std::uint64_t weight = 1);
-  // Mergeable-summaries union: keys absent from one side contribute that
-  // side's Floor() as count and error, then the union is pruned back to the
-  // top `capacity` by (count desc, key asc). Requires matching capacities.
-  void Merge(const HeavyHitters& other);
-
-  std::size_t Capacity() const { return capacity_; }
-  std::uint64_t TotalWeight() const { return total_; }
-  // Upper bound on the true weight of any key NOT in Top().
-  std::uint64_t Floor() const { return floor_; }
-
-  struct Entry {
-    std::int64_t key = 0;
-    std::uint64_t count = 0;  // overestimate: true <= count <= true + error
-    std::uint64_t error = 0;
-  };
-  // Tracked entries ordered by (count desc, key asc).
-  std::vector<Entry> Top() const;
-
- private:
-  struct Counts {
-    std::uint64_t count = 0;
-    std::uint64_t error = 0;
-  };
-  std::size_t capacity_;
-  std::uint64_t total_ = 0;
-  std::uint64_t floor_ = 0;
-  std::map<std::int64_t, Counts> entries_;
-};
-
 // ---------------------------------------------------------------------------
 // Registry handles (process-global named metrics, like obs/timeseries.h).
 
@@ -156,47 +105,21 @@ class SketchMetric {
   double alpha_;
 };
 
-// Thread-safe handle to a named heavy-hitter summary. Shards are folded in
-// registration x shard order; HeavyHitters::Merge is not associative, so for
-// bit-identical readouts at any DCN_THREADS feed a given metric from one
-// coordinating thread per run (the simulators flush their exact post-run
-// tallies this way), not concurrently from pool workers.
-class HeavyHittersMetric {
- public:
-  void Add(std::int64_t key, std::uint64_t weight = 1);
-  void Merge(const HeavyHitters& partial);
-  HeavyHitters Merged() const;
-
- private:
-  friend HeavyHittersMetric& GetHeavyHitters(std::string_view, std::size_t);
-  HeavyHittersMetric(std::size_t id, std::size_t capacity)
-      : id_(id), capacity_(capacity) {}
-  std::size_t id_;
-  std::size_t capacity_;
-};
-
 // Registers (or finds) a named metric. Re-registration must agree on the
 // parameters. Handles stay valid across obs::Reset() — reset clears the
 // data, not the registrations — so caching them in static locals is safe.
 SketchMetric& GetQuantileSketch(
     std::string_view name,
     double relative_accuracy = QuantileSketch::kDefaultAccuracy);
-HeavyHittersMetric& GetHeavyHitters(std::string_view name,
-                                    std::size_t capacity = 16);
 
 struct SketchRow {
   std::string name;
   QuantileSketch sketch;
 };
-struct HeavyHittersRow {
-  std::string name;
-  HeavyHitters hitters;
-};
 
 // Merged snapshots in registration order (shards folded in creation order).
 // Call outside parallel regions, like obs::TakeSnapshot().
 std::vector<SketchRow> TakeSketchSnapshot();
-std::vector<HeavyHittersRow> TakeHeavyHittersSnapshot();
 
 namespace detail {
 // Clears every shard's data; keeps registrations so cached handles survive.

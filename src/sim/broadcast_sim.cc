@@ -281,41 +281,28 @@ BroadcastSimResult RunBroadcastSim(const graph::Graph& graph,
   c_deliveries.Add(obs_deliveries);
   c_drops.Add(obs_drops);
 
-  // Bounded telemetry: latency sketches plus per-link transmit summaries
-  // (hot links / hot relays and the link->node->tier->fabric rollup), all
-  // exact functions of the run and merged from this one thread (the
-  // heavy-hitter determinism contract in obs/sketch.h).
-  constexpr std::size_t kTopK = 16;
-  obs::HeavyHitters hot_links{kTopK};
-  obs::HeavyHitters hot_switches{kTopK};
+  // Bounded telemetry: latency sketches plus the exact per-link transmit
+  // rollup (link -> transmitting node -> tier -> fabric), whose link and
+  // node levels name the hot links and relays.
   obs::Rollup link_rollup = obs::MakeLinkRollup();
   for (std::size_t link = 0; link < links.size(); ++link) {
     const std::uint64_t tx = links[link].transmitted;
     if (tx == 0) continue;
     const auto [u, v] = csr.Endpoints(static_cast<graph::EdgeId>(link / 2));
     const graph::NodeId tail = link % 2 == 0 ? u : v;  // the transmitter
-    const std::int64_t tier = csr.IsSwitch(tail) ? 1 : 0;
-    hot_links.Add(static_cast<std::int64_t>(link), tx);
-    if (tier == 1) hot_switches.Add(static_cast<std::int64_t>(tail), tx);
     const std::array<std::int64_t, 4> groups{static_cast<std::int64_t>(link),
                                              static_cast<std::int64_t>(tail),
-                                             tier, 0};
+                                             csr.IsSwitch(tail) ? 1 : 0, 0};
     link_rollup.Add(groups, static_cast<std::int64_t>(tx));
   }
   static obs::SketchMetric& s_delivery =
       obs::GetQuantileSketch("broadcast/delivery_latency");
   static obs::SketchMetric& s_completion =
       obs::GetQuantileSketch("broadcast/completion_latency");
-  static obs::HeavyHittersMetric& h_links =
-      obs::GetHeavyHitters("broadcast/hot_links", kTopK);
-  static obs::HeavyHittersMetric& h_switches =
-      obs::GetHeavyHitters("broadcast/hot_switches", kTopK);
   static obs::RollupMetric& r_links =
       obs::GetRollup("broadcast/links", obs::LinkRollupLevels());
   s_delivery.Merge(delivery_sketch);
   s_completion.Merge(completion_sketch);
-  h_links.Merge(hot_links);
-  h_switches.Merge(hot_switches);
   r_links.Merge(link_rollup);
   if (mon.on()) {
     result.monitor = mon.Finish();

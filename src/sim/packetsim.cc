@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <limits>
 #include <queue>
 #include <string>
@@ -163,35 +162,6 @@ void AddDeliveryTelemetry(PacketTelemetry& telemetry, double latency,
                          (static_cast<double>(hops) * kServiceTime));
 }
 
-// Post-run per-element summaries from the exact transmit / delivery counts —
-// pure functions of state both engine families agree on byte-for-byte.
-template <typename LinkStore>
-void FinalizeTelemetry(PacketTelemetry& telemetry, const graph::CsrView& csr,
-                       std::size_t link_count, const LinkStore& links,
-                       const std::vector<std::uint64_t>& flow_delivered) {
-  for (std::size_t link = 0; link < link_count; ++link) {
-    const std::uint64_t tx = links.Transmitted(link);
-    if (tx == 0) continue;
-    const auto [u, v] = csr.Endpoints(static_cast<graph::EdgeId>(link / 2));
-    const graph::NodeId tail = link % 2 == 0 ? u : v;  // the transmitter
-    const std::int64_t tier = csr.IsSwitch(tail) ? 1 : 0;
-    telemetry.hot_links.Add(static_cast<std::int64_t>(link), tx);
-    if (tier == 1) {
-      telemetry.hot_switches.Add(static_cast<std::int64_t>(tail), tx);
-    }
-    const std::array<std::int64_t, 4> groups{static_cast<std::int64_t>(link),
-                                             static_cast<std::int64_t>(tail),
-                                             tier, 0};
-    telemetry.links.Add(groups, static_cast<std::int64_t>(tx));
-  }
-  for (std::size_t route = 0; route < flow_delivered.size(); ++route) {
-    if (flow_delivered[route] != 0) {
-      telemetry.elephant_flows.Add(static_cast<std::int64_t>(route),
-                                   flow_delivered[route]);
-    }
-  }
-}
-
 void FlushObs(const PacketSimResult& result, const ObsLocals& obs) {
   // Every value is an exact count determined by (graph, routes, config), so
   // merged obs readouts are as reproducible as the simulation itself.
@@ -215,26 +185,17 @@ void FlushObs(const PacketSimResult& result, const ObsLocals& obs) {
   for (std::size_t hops = 0; hops < obs.hops.size(); ++hops) {
     h_hops.Add(static_cast<std::int64_t>(hops), obs.hops[hops]);
   }
-  // Telemetry merges run here on the calling thread: sketch/rollup merges are
-  // order-free, and feeding the heavy hitters from one thread per run is the
-  // determinism contract in obs/sketch.h.
   static obs::SketchMetric& s_latency = obs::GetQuantileSketch("packetsim/latency");
   static obs::SketchMetric& s_slowdown =
       obs::GetQuantileSketch("packetsim/slowdown");
-  static obs::HeavyHittersMetric& h_links =
-      obs::GetHeavyHitters("packetsim/hot_links", PacketTelemetry::kTopK);
-  static obs::HeavyHittersMetric& h_switches =
-      obs::GetHeavyHitters("packetsim/hot_switches", PacketTelemetry::kTopK);
-  static obs::HeavyHittersMetric& h_flows =
-      obs::GetHeavyHitters("packetsim/elephant_flows", PacketTelemetry::kTopK);
   static obs::RollupMetric& r_links =
       obs::GetRollup("packetsim/links", obs::LinkRollupLevels());
+  static obs::RollupMetric& r_flows =
+      obs::GetRollup("packetsim/flows", result.telemetry.flows.LevelNames());
   s_latency.Merge(result.telemetry.latency);
   s_slowdown.Merge(result.telemetry.slowdown);
-  h_links.Merge(result.telemetry.hot_links);
-  h_switches.Merge(result.telemetry.hot_switches);
-  h_flows.Merge(result.telemetry.elephant_flows);
   r_links.Merge(result.telemetry.links);
+  r_flows.Merge(result.telemetry.flows);
 }
 
 // Shared flight-recorder lane namer: directed link -> "u->v".
@@ -287,12 +248,10 @@ class BinaryEventQueue {
   std::priority_queue<Event, std::vector<Event>, EventAfter> queue_;
 };
 
-// Per-directed-link FIFO output queues, capacity-bounded. Two layouts with
-// identical FIFO semantics (so results are bit-identical either way):
-//
-// RingLinkStore — one contiguous slab of queue_capacity slots per link plus
-// flat head/size/transmitted arrays. No allocation after construction and no
-// pointer chasing in the depart hot path.
+// Per-directed-link FIFO output queues, capacity-bounded: one contiguous
+// slab of queue_capacity slots per link plus flat head/size/transmitted
+// arrays. No allocation after construction and no pointer chasing in the
+// depart hot path.
 class RingLinkStore {
  public:
   RingLinkStore(std::size_t links, int capacity)
@@ -333,42 +292,36 @@ class RingLinkStore {
   std::vector<std::uint64_t> transmitted_;
 };
 
-// DequeLinkStore — the vector-of-deques layout the simulator used before the
-// ring store; retained as the in-process baseline for bench_micro.
-class DequeLinkStore {
- public:
-  DequeLinkStore(std::size_t links, int /*capacity*/) : links_(links) {}
+// Post-run rollups from the exact transmit / delivery counts — pure
+// functions of state both engine families agree on byte-for-byte — plus the
+// run's conservation checks: every measured delivery is counted once per
+// route and once in the latency sketch.
+void FinalizeTelemetry(PacketSimResult& result, const graph::CsrView& csr,
+                       std::size_t link_count, const RingLinkStore& links,
+                       const std::vector<std::uint64_t>& flow_delivered) {
+  PacketTelemetry& telemetry = result.telemetry;
+  for (std::size_t link = 0; link < link_count; ++link) {
+    const std::uint64_t tx = links.Transmitted(link);
+    if (tx == 0) continue;
+    const auto [u, v] = csr.Endpoints(static_cast<graph::EdgeId>(link / 2));
+    const graph::NodeId tail = link % 2 == 0 ? u : v;  // the transmitter
+    const std::array<std::int64_t, 4> groups{static_cast<std::int64_t>(link),
+                                             static_cast<std::int64_t>(tail),
+                                             csr.IsSwitch(tail) ? 1 : 0, 0};
+    telemetry.links.Add(groups, static_cast<std::int64_t>(tx));
+  }
+  std::uint64_t routed = 0;
+  for (std::size_t route = 0; route < flow_delivered.size(); ++route) {
+    const std::uint64_t delivered = flow_delivered[route];
+    if (delivered == 0) continue;
+    const std::array<std::int64_t, 1> groups{static_cast<std::int64_t>(route)};
+    telemetry.flows.Add(groups, static_cast<std::int64_t>(delivered));
+    routed += delivered;
+  }
+  DCN_ASSERT(routed == result.delivered);
+  DCN_ASSERT(telemetry.latency.Count() == result.delivered);
+}
 
-  int Size(std::size_t link) const {
-    return static_cast<int>(links_[link].packets.size());
-  }
-  bool Empty(std::size_t link) const { return links_[link].packets.empty(); }
-  std::uint32_t Front(std::size_t link) const {
-    return links_[link].packets.front();
-  }
-  std::uint64_t Transmitted(std::size_t link) const {
-    return links_[link].transmitted;
-  }
-  void Push(std::size_t link, std::uint32_t packet) {
-    links_[link].packets.push_back(packet);
-  }
-  std::uint32_t PopFront(std::size_t link) {
-    LinkQueue& q = links_[link];
-    const std::uint32_t packet = q.packets.front();
-    q.packets.pop_front();
-    ++q.transmitted;
-    return packet;
-  }
-
- private:
-  struct LinkQueue {
-    std::deque<std::uint32_t> packets;  // front is in service
-    std::uint64_t transmitted = 0;
-  };
-  std::vector<LinkQueue> links_;
-};
-
-template <typename LinkStore>
 PacketSimResult RunPacketSimSerialImpl(
     const graph::Graph& graph,
     const std::vector<std::vector<routing::Route>>& candidates,
@@ -377,7 +330,7 @@ PacketSimResult RunPacketSimSerialImpl(
   std::vector<std::size_t> next_candidate(candidates.size(), 0);
 
   const std::size_t link_count = graph.EdgeCount() * 2;
-  LinkStore links(link_count, config.queue_capacity);
+  RingLinkStore links(link_count, config.queue_capacity);
   std::vector<Packet> pool;
   BinaryEventQueue events;
   Rng rng{config.seed};
@@ -548,8 +501,7 @@ PacketSimResult RunPacketSimSerialImpl(
 
   DCN_ASSERT(result.delivered + result.dropped <= result.measured);
   if (fr_bd) result.breakdown = fr->Breakdown();
-  FinalizeTelemetry(result.telemetry, graph.Csr(), link_count, links,
-                    flow_delivered);
+  FinalizeTelemetry(result, graph.Csr(), link_count, links, flow_delivered);
   FlushObs(result, obs);
   if (mon.on()) {
     result.monitor = mon.Finish();
@@ -1081,8 +1033,7 @@ PacketSimResult RunPacketSimMultipathSharded(
 
   DCN_ASSERT(result.delivered + result.dropped <= result.measured);
   if (fr_bd) result.breakdown = fr->Breakdown();
-  FinalizeTelemetry(result.telemetry, graph.Csr(), link_count, store,
-                    flow_delivered);
+  FinalizeTelemetry(result, graph.Csr(), link_count, store, flow_delivered);
 
   ObsLocals obs;
   // Exact pop-count parity with the serial loop: one event per generate pop
@@ -1147,8 +1098,7 @@ PacketSimResult RunPacketSimMultipath(
   // dispatch to the plain event loop — byte-identical by the determinism
   // contract (packetsim.h), and a single-core host pays no shard overhead.
   if (TeamSize() == 1) {
-    return RunPacketSimSerialImpl<RingLinkStore>(graph, candidates, config,
-                                                 policy);
+    return RunPacketSimSerialImpl(graph, candidates, config, policy);
   }
   return RunPacketSimMultipathSharded(graph, candidates, config, policy);
 }
@@ -1163,8 +1113,7 @@ PacketSimResult RunPacketSimMultipathSerial(
     const graph::Graph& graph,
     const std::vector<std::vector<routing::Route>>& candidates,
     const PacketSimConfig& config, SprayPolicy policy) {
-  return RunPacketSimSerialImpl<RingLinkStore>(graph, candidates, config,
-                                               policy);
+  return RunPacketSimSerialImpl(graph, candidates, config, policy);
 }
 
 PacketSimResult RunPacketSimSerial(const graph::Graph& graph,
@@ -1172,13 +1121,6 @@ PacketSimResult RunPacketSimSerial(const graph::Graph& graph,
                                    const PacketSimConfig& config) {
   return RunPacketSimMultipathSerial(graph, SingletonCandidates(routes),
                                      config);
-}
-
-PacketSimResult RunPacketSimLegacyBaseline(
-    const graph::Graph& graph, const std::vector<routing::Route>& routes,
-    const PacketSimConfig& config) {
-  return RunPacketSimSerialImpl<DequeLinkStore>(
-      graph, SingletonCandidates(routes), config, SprayPolicy::kRoundRobin);
 }
 
 }  // namespace dcn::sim

@@ -18,13 +18,13 @@
 // chains synchronize), which is why the contract is spelled out: every entry
 // point below pops the identical (time, key) total order, so RunPacketSim
 // (sharded, conservative-lookahead windows of one service time between
-// barriers), RunPacketSimSerial (reference event loop), and
-// RunPacketSimLegacyBaseline (deque-store event loop) are all byte-identical
+// barriers) and RunPacketSimSerial (reference event loop) are byte-identical
 // to each other at any DCN_THREADS setting, with the flight recorder on or
 // off.
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/stats.h"
@@ -63,23 +63,22 @@ struct PacketSimConfig {
 // Always-on bounded telemetry (obs/sketch.h, obs/rollup.h), computed by
 // every engine at the same merge points: the sketches fill in the serial
 // engine's delivery order (their integer bucket merges are commutative
-// anyway), the per-element summaries from the exact post-run per-link
-// transmit and per-route delivery counts. Byte-identical across
-// RunPacketSim / RunPacketSimSerial / RunPacketSimLegacyBaseline and at any
-// DCN_THREADS, with or without any flight-recorder flag. O(buckets + K)
-// export however much traffic ran.
+// anyway), the rollups from the exact post-run per-link transmit and
+// per-route delivery counts. Byte-identical across RunPacketSim /
+// RunPacketSimSerial and at any DCN_THREADS, with or without any
+// flight-recorder flag. Hot links, hot transmitters (servers relay too) and
+// elephant routes are the rollups' exact top-K (Rollup::Summarize).
 struct PacketTelemetry {
-  static constexpr std::size_t kTopK = 16;
   obs::QuantileSketch latency;   // end-to-end, measured delivered packets
   // latency / (hops * service time): 1.0 is an uncongested path, the
   // packet-level analogue of FCT slowdown.
   obs::QuantileSketch slowdown;
-  obs::HeavyHitters hot_links{kTopK};      // packets transmitted per directed link
-  obs::HeavyHitters hot_switches{kTopK};   // ... per transmitting switch
-  obs::HeavyHitters elephant_flows{kTopK}; // measured deliveries per route
   // Transmit counts aggregated link -> transmitting node -> tier
   // (0 server, 1 switch) -> fabric.
   obs::Rollup links = obs::MakeLinkRollup();
+  // Measured deliveries per route (one level, "route"); its total is
+  // PacketSimResult::delivered.
+  obs::Rollup flows{std::vector<std::string>{"route"}};
 };
 
 struct PacketSimResult {
@@ -100,8 +99,8 @@ struct PacketSimResult {
   // packet. Populated only when the flight recorder's latency breakdown is
   // on (obs/flight.h, --latency-breakdown); enabled == false otherwise.
   obs::flight::LatencyBreakdown breakdown;
-  // Bounded sketches/heavy hitters/rollups; always populated, also merged
-  // into the obs registry ("packetsim/latency", "packetsim/hot_links", ...).
+  // Bounded sketches/rollups; always populated, also merged into the obs
+  // registry ("packetsim/latency", "packetsim/links", "packetsim/flows", ...).
   PacketTelemetry telemetry;
   // Online-monitor verdicts (alert log, per-window recovery aggregates).
   // Populated only when config.monitor.enabled; bit-identical at any
@@ -142,7 +141,8 @@ PacketSimResult RunPacketSimMultipath(
 
 // Single-threaded reference event loop (one binary heap popping the
 // documented (time, key) order). The differential suite in
-// tests/test_packetsim_parallel.cc pins RunPacketSim to this bit-for-bit.
+// tests/test_packetsim_parallel.cc pins RunPacketSim to this bit-for-bit,
+// and bench_micro / bench_parallel_scaling time RunPacketSim against it.
 PacketSimResult RunPacketSimSerial(const graph::Graph& graph,
                                    const std::vector<routing::Route>& routes,
                                    const PacketSimConfig& config = {});
@@ -151,16 +151,5 @@ PacketSimResult RunPacketSimMultipathSerial(
     const std::vector<std::vector<routing::Route>>& candidates,
     const PacketSimConfig& config = {},
     SprayPolicy policy = SprayPolicy::kRoundRobin);
-
-// The serial reference driven by the vector-of-deques per-link FIFO storage
-// the simulator used before the flat ring-buffer link store. Both layouts
-// keep identical FIFO semantics and pop the identical (time, key) total
-// order, so the result is bit-identical to RunPacketSim — retained as the
-// in-process baseline for bench_micro's packetsim entry, the
-// bench_parallel_scaling reference anchor, and the equivalence test in
-// tests/test_packetsim.cc.
-PacketSimResult RunPacketSimLegacyBaseline(
-    const graph::Graph& graph, const std::vector<routing::Route>& routes,
-    const PacketSimConfig& config = {});
 
 }  // namespace dcn::sim

@@ -237,38 +237,6 @@ TEST(PacketSimMultipathTest, SprayingOnAbcccRaisesDeliveredFraction) {
   EXPECT_GE(sprayed.DeliveredFraction(), base.DeliveredFraction() - 0.02);
 }
 
-TEST(PacketSimTest, RingStoreMatchesLegacyBaselineExactly) {
-  // The ring-buffer link store keeps the exact FIFO semantics of the legacy
-  // vector-of-deques layout and the event queue pops the strict (time, seq)
-  // total order either way — every counter and every latency sample must be
-  // bit-identical, not just statistically close.
-  const topo::Abccc net{topo::AbcccParams{3, 1, 2}};
-  Rng rng{20260806};
-  const std::vector<Flow> flows = PermutationTraffic(net, rng);
-  std::vector<Route> routes;
-  for (const Flow& flow : flows) {
-    routes.push_back(routing::AbcccRoute(net, flow.src, flow.dst));
-  }
-  PacketSimConfig config;
-  config.offered_load = 0.7;
-  config.duration = 300;
-  config.warmup = 50;
-  config.queue_capacity = 4;
-  const PacketSimResult ring = RunPacketSim(net.Network(), routes, config);
-  const PacketSimResult legacy =
-      RunPacketSimLegacyBaseline(net.Network(), routes, config);
-  EXPECT_EQ(ring.generated, legacy.generated);
-  EXPECT_EQ(ring.measured, legacy.measured);
-  EXPECT_EQ(ring.delivered, legacy.delivered);
-  EXPECT_EQ(ring.dropped, legacy.dropped);
-  EXPECT_EQ(ring.max_queue_depth, legacy.max_queue_depth);
-  EXPECT_EQ(ring.max_link_utilization, legacy.max_link_utilization);
-  EXPECT_EQ(ring.mean_link_utilization, legacy.mean_link_utilization);
-  ASSERT_EQ(ring.latency.Count(), legacy.latency.Count());
-  EXPECT_EQ(ring.latency.Mean(), legacy.latency.Mean());
-  EXPECT_EQ(ring.latency.Percentile(0.99), legacy.latency.Percentile(0.99));
-}
-
 TEST(PacketSimTest, ConfigValidation) {
   const Graph g = MakeRelayPair();
   PacketSimConfig config;

@@ -1,11 +1,13 @@
 // obs/rollup.h: hierarchical rollups keep exact per-group integer totals —
 // every level's total equals the flat sum of the leaves — merge key-wise in
-// any order, summarize each level into a bounded (top-K + sketch) export,
-// and the registry metric is bit-identical at any thread count.
+// any order, summarize each level into a bounded export (the exact top-K
+// groups, checked against a brute-force sort, plus a sketch of the group
+// totals), and the registry metric is bit-identical at any thread count.
 #include "obs/rollup.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <map>
@@ -108,11 +110,9 @@ TEST_F(RollupTest, SummarizeIsBoundedAndExactWhereItClaimsToBe) {
   EXPECT_EQ(links.name, "link");
   EXPECT_EQ(links.groups, 40u);
   EXPECT_EQ(links.leaves, 40u);
-  EXPECT_EQ(links.max_group_key, 13);
-  EXPECT_EQ(links.max_group_total, 5000);
-  const auto top = links.top.Top();
-  ASSERT_LE(top.size(), 8u);
-  EXPECT_EQ(top[0].key, 13);
+  ASSERT_EQ(links.top.size(), 8u);
+  EXPECT_EQ(links.top[0].key, 13);
+  EXPECT_EQ(links.top[0].total, 5000);
   EXPECT_EQ(links.quantiles.Count(), 40u);
   // Totals agree across every summarized level.
   for (const auto& summary : summaries) {
@@ -120,6 +120,42 @@ TEST_F(RollupTest, SummarizeIsBoundedAndExactWhereItClaimsToBe) {
     EXPECT_EQ(summary.leaves, links.leaves) << summary.name;
   }
   EXPECT_EQ(summaries[3].groups, 1u);  // fabric
+
+  // Seeded random leaves whose small value range forces many tied group
+  // totals: every level's top-K must equal a brute-force sort of Level()
+  // by (total desc, key asc), keys and totals both, for K below, at, and
+  // above the group count.
+  Rollup tied{LinkLevels()};
+  Rng rng{0x7095};
+  for (std::size_t i = 0; i < 600; ++i) {
+    const auto link = static_cast<std::int64_t>(rng.NextUint64(90));
+    tied.Add(LeafGroups(link), static_cast<std::int64_t>(rng.NextUint64(4)));
+  }
+  for (const std::size_t top_k : {std::size_t{1}, std::size_t{8},
+                                  std::size_t{1000}}) {
+    const auto summarized = tied.Summarize(top_k);
+    ASSERT_EQ(summarized.size(), tied.LevelCount());
+    for (std::size_t level = 0; level < tied.LevelCount(); ++level) {
+      SCOPED_TRACE(testing::Message() << "level " << level << " top_k "
+                                      << top_k);
+      std::vector<Rollup::GroupTotal> expected;
+      for (const auto& [key, agg] : tied.Level(level)) {
+        expected.push_back({key, agg.total});
+      }
+      std::sort(expected.begin(), expected.end(),
+                [](const Rollup::GroupTotal& a, const Rollup::GroupTotal& b) {
+                  return a.total != b.total ? a.total > b.total
+                                            : a.key < b.key;
+                });
+      expected.resize(std::min(top_k, expected.size()));
+      const std::vector<Rollup::GroupTotal>& top = summarized[level].top;
+      ASSERT_EQ(top.size(), expected.size());
+      for (std::size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_EQ(top[i].key, expected[i].key) << "rank " << i;
+        EXPECT_EQ(top[i].total, expected[i].total) << "rank " << i;
+      }
+    }
+  }
 }
 
 TEST_F(RollupTest, RollupMetricIsThreadCountInvariant) {

@@ -1,9 +1,8 @@
 // obs/sketch.h: the quantile sketch honors its relative rank-error bound
 // against an exact sorted reference, merges are bit-identical in any order
-// and at any thread count, the heavy-hitter summary keeps the Space-Saving
-// count-error guarantee against exact tallies with deterministic
-// tie-breaking, and the simulators' always-on telemetry (packetsim result
-// sketches, fluid's FCT sketch) matches the exact per-flow data the flight
+// and at any thread count, and the simulators' always-on telemetry
+// (packetsim result sketches and link / flow rollups, fluid's FCT sketch)
+// is thread-count invariant and matches the exact per-flow data the flight
 // recorder exports.
 #include "obs/sketch.h"
 
@@ -12,7 +11,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -22,6 +20,7 @@
 #include "graph/graph.h"
 #include "obs/flight.h"
 #include "obs/obs.h"
+#include "obs/rollup.h"
 #include "routing/route.h"
 #include "sim/fluid.h"
 #include "sim/packetsim.h"
@@ -151,91 +150,25 @@ TEST_F(SketchTest, SketchMetricIsThreadCountInvariant) {
   }
 }
 
-TEST_F(SketchTest, HeavyHittersKeepTheSpaceSavingGuarantee) {
-  // Zipf-ish skew over 200 keys into a capacity-16 summary.
-  Rng rng{0x70b5};
-  std::map<std::int64_t, std::uint64_t> exact;
-  HeavyHitters hitters{16};
-  for (std::size_t i = 0; i < 30000; ++i) {
-    const auto r = static_cast<double>(rng.NextUint64(1u << 20)) /
-                   static_cast<double>(1u << 20);
-    const auto key = static_cast<std::int64_t>(200.0 * r * r * r);
-    ++exact[key];
-    hitters.Add(key);
-  }
-  const std::uint64_t total = hitters.TotalWeight();
-  EXPECT_EQ(total, 30000u);
-  EXPECT_LE(hitters.Floor(), total / hitters.Capacity());
-  for (const HeavyHitters::Entry& entry : hitters.Top()) {
-    const std::uint64_t truth = exact[entry.key];
-    EXPECT_LE(truth, entry.count);
-    EXPECT_GE(truth + entry.error, entry.count);
-    EXPECT_LE(entry.error, total / hitters.Capacity());
-  }
-  // Every key whose true weight beats the guarantee threshold is tracked.
-  std::vector<std::int64_t> tracked;
-  for (const auto& entry : hitters.Top()) tracked.push_back(entry.key);
-  for (const auto& [key, truth] : exact) {
-    if (truth > total / hitters.Capacity()) {
-      EXPECT_NE(std::find(tracked.begin(), tracked.end(), key), tracked.end())
-          << "heavy key " << key << " missing";
+// ---------------------------------------------------------------------------
+// Simulator telemetry.
+
+// Every level's group count, total, and exact top-K groups.
+void ExpectSameRollupSummary(const Rollup& lhs, const Rollup& rhs) {
+  const std::vector<Rollup::LevelSummary> a = lhs.Summarize();
+  const std::vector<Rollup::LevelSummary> b = rhs.Summarize();
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t level = 0; level < a.size(); ++level) {
+    SCOPED_TRACE(a[level].name);
+    EXPECT_EQ(a[level].groups, b[level].groups);
+    EXPECT_EQ(a[level].total, b[level].total);
+    ASSERT_EQ(a[level].top.size(), b[level].top.size());
+    for (std::size_t i = 0; i < a[level].top.size(); ++i) {
+      EXPECT_EQ(a[level].top[i].key, b[level].top[i].key);
+      EXPECT_EQ(a[level].top[i].total, b[level].top[i].total);
     }
   }
 }
-
-TEST_F(SketchTest, HeavyHittersTieBreakByKeyIsDeterministic) {
-  HeavyHitters hitters{2};
-  hitters.Add(10, 5);
-  hitters.Add(20, 3);
-  hitters.Add(30, 3);  // evicts the min-count entry with the LARGEST key (20)
-  const auto top = hitters.Top();
-  ASSERT_EQ(top.size(), 2u);
-  // Key 30 inherited the evicted count (3) plus its own weight, with the
-  // inherited count as its error bound: 3 <= true(30) <= 6.
-  EXPECT_EQ(top[0].key, 30);
-  EXPECT_EQ(top[0].count, 6u);
-  EXPECT_EQ(top[0].error, 3u);
-  EXPECT_EQ(top[1].key, 10);
-  EXPECT_EQ(top[1].count, 5u);
-  EXPECT_EQ(top[1].error, 0u);
-  // Equal counts order by ascending key.
-  HeavyHitters ties{4};
-  ties.Add(7, 2);
-  ties.Add(3, 2);
-  ties.Add(5, 2);
-  const auto tied = ties.Top();
-  ASSERT_EQ(tied.size(), 3u);
-  EXPECT_EQ(tied[0].key, 3);
-  EXPECT_EQ(tied[1].key, 5);
-  EXPECT_EQ(tied[2].key, 7);
-}
-
-TEST_F(SketchTest, HeavyHittersMergeIsCommutative) {
-  HeavyHitters a{4};
-  HeavyHitters b{4};
-  Rng rng{0x3141};
-  for (std::size_t i = 0; i < 500; ++i) {
-    a.Add(static_cast<std::int64_t>(rng.NextUint64(12)));
-    b.Add(static_cast<std::int64_t>(rng.NextUint64(9)));
-  }
-  HeavyHitters ab = a;
-  ab.Merge(b);
-  HeavyHitters ba = b;
-  ba.Merge(a);
-  EXPECT_EQ(ab.TotalWeight(), ba.TotalWeight());
-  EXPECT_EQ(ab.Floor(), ba.Floor());
-  const auto lhs = ab.Top();
-  const auto rhs = ba.Top();
-  ASSERT_EQ(lhs.size(), rhs.size());
-  for (std::size_t i = 0; i < lhs.size(); ++i) {
-    EXPECT_EQ(lhs[i].key, rhs[i].key);
-    EXPECT_EQ(lhs[i].count, rhs[i].count);
-    EXPECT_EQ(lhs[i].error, rhs[i].error);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Simulator telemetry.
 
 TEST_F(SketchTest, PacketsimTelemetryIsThreadCountInvariant) {
   const topo::Abccc net{topo::AbcccParams{2, 1, 2}};
@@ -267,20 +200,11 @@ TEST_F(SketchTest, PacketsimTelemetryIsThreadCountInvariant) {
                 at1.telemetry.slowdown.Quantile(q))
           << "threads=" << threads;
     }
-    const auto links1 = at1.telemetry.hot_links.Top();
-    const auto linksN = at_n.telemetry.hot_links.Top();
-    ASSERT_EQ(linksN.size(), links1.size());
-    for (std::size_t i = 0; i < links1.size(); ++i) {
-      EXPECT_EQ(linksN[i].key, links1[i].key);
-      EXPECT_EQ(linksN[i].count, links1[i].count);
-    }
-    const auto flows1 = at1.telemetry.elephant_flows.Top();
-    const auto flowsN = at_n.telemetry.elephant_flows.Top();
-    ASSERT_EQ(flowsN.size(), flows1.size());
-    for (std::size_t i = 0; i < flows1.size(); ++i) {
-      EXPECT_EQ(flowsN[i].key, flows1[i].key);
-      EXPECT_EQ(flowsN[i].count, flows1[i].count);
-    }
+    SCOPED_TRACE(testing::Message() << "threads=" << threads);
+    ExpectSameRollupSummary(at_n.telemetry.links, at1.telemetry.links);
+    ExpectSameRollupSummary(at_n.telemetry.flows, at1.telemetry.flows);
+    EXPECT_EQ(at_n.telemetry.flows.Summarize()[0].total,
+              static_cast<std::int64_t>(at_n.delivered));
   }
   // The registry saw the same merge (flushed from the calling thread).
   const auto rows = TakeSketchSnapshot();
