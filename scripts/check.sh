@@ -95,6 +95,20 @@ python3 scripts/validate_stats.py build/f24_stats.json \
   --expect-counter monitor/runs --expect-counter monitor/alerts_fired \
   --expect-fired
 python3 scripts/validate_trace.py build/trace_f24.json --expect-alert
+# Broadcast telemetry through the shared run harness (sim/run_harness.h): the
+# F21 table must not move when the stats and trace sinks are on (they only
+# observe), and the stats file must carry the broadcast link rollup, both
+# latency sketches and the run counter.
+./build/bench/bench_f21_broadcast_load --threads=4 > build/f21_plain.txt
+./build/bench/bench_f21_broadcast_load --threads=4 \
+  --stats-json=build/f21_stats.json --trace-out=build/trace_f21.json \
+  > build/f21_obs.txt
+cmp build/f21_plain.txt build/f21_obs.txt
+python3 scripts/validate_stats.py build/f21_stats.json \
+  --expect-rollup broadcast/links \
+  --expect-sketch broadcast/delivery_latency \
+  --expect-sketch broadcast/completion_latency \
+  --expect-counter broadcast/runs
 
 if [ "$BENCH" -eq 1 ]; then
   echo

@@ -354,8 +354,10 @@ def main():
         print(f"{args.stats}: INVALID ({len(errors)} violations)",
               file=sys.stderr)
         return 1
+    # The alerts block is one {"runs": [...]} object: count its runs.
     counts = ", ".join(
-        f"{len(stats[block])} {block}" for block in BLOCKS)
+        f"{len(stats[block]['runs'])} monitor runs" if block == "alerts"
+        else f"{len(stats[block])} {block}" for block in BLOCKS)
     print(f"{args.stats}: OK ({counts})")
     return 0
 

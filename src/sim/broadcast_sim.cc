@@ -1,10 +1,7 @@
 #include "sim/broadcast_sim.h"
 
 #include <algorithm>
-#include <array>
-#include <deque>
 #include <queue>
-#include <string>
 #include <unordered_map>
 
 #include "common/error.h"
@@ -12,17 +9,14 @@
 #include "graph/csr.h"
 #include "obs/flight.h"
 #include "obs/obs.h"
-#include "obs/rollup.h"
 #include "obs/sketch.h"
-#include "routing/route.h"
+#include "sim/run_harness.h"
 
 namespace dcn::sim {
 
 namespace flight = obs::flight;
 
 namespace {
-
-constexpr double kServiceTime = 1.0;
 
 // A copy in flight: message id, destination server, and its 2-link segment
 // (parent -> via -> child), expressed as directed link ids.
@@ -61,11 +55,6 @@ struct EventAfter {
   }
 };
 
-struct LinkQueue {
-  std::deque<std::uint32_t> copies;  // indices into the copy pool
-  std::uint64_t transmitted = 0;
-};
-
 std::uint64_t DirectedLink(const graph::CsrView& csr, graph::NodeId from,
                            graph::NodeId to) {
   const graph::EdgeId edge = csr.FindEdge(from, to);
@@ -81,9 +70,6 @@ BroadcastSimResult RunBroadcastSim(const graph::Graph& graph,
                                    const routing::SpanningTree& tree,
                                    const BroadcastSimConfig& config) {
   DCN_REQUIRE(config.message_rate > 0, "message_rate must be positive");
-  DCN_REQUIRE(config.duration > config.warmup && config.warmup >= 0,
-              "need 0 <= warmup < duration");
-  DCN_REQUIRE(config.queue_capacity >= 1, "queue capacity must be >= 1");
   DCN_REQUIRE(tree.CoveredCount() >= 2, "broadcast tree covers nothing");
 
   // children[s]: tree children of server s, with precomputed link segments.
@@ -107,7 +93,13 @@ BroadcastSimResult RunBroadcastSim(const graph::Graph& graph,
   }
   DCN_ASSERT(receivers + 1 == tree.CoveredCount());
 
-  std::vector<LinkQueue> links(graph.EdgeCount() * 2);
+  // Link store, fault capacities, monitor windows and flight scope
+  // (sim/run_harness.h), with the same semantics as sim/packetsim.cc. None
+  // of them draws from `rng`; the flight recorder observes copies (the unit
+  // that queues on links).
+  RunHarness run{"broadcast", graph, config.duration, config.warmup,
+                 config.queue_capacity, config.faults, config.monitor};
+  RingLinkStore& links = run.links();
   std::vector<Copy> pool;
   std::vector<MessageState> messages;
   std::priority_queue<Event, std::vector<Event>, EventAfter> events;
@@ -115,29 +107,7 @@ BroadcastSimResult RunBroadcastSim(const graph::Graph& graph,
   Rng rng{config.seed};
   BroadcastSimResult result;
 
-  // Mid-run faults + online monitor (sim/failures.h, obs/monitor.h): same
-  // drain-then-dead capacity semantics and floor(time / width) window
-  // attribution as sim/packetsim.cc. Neither touches `rng`.
-  const std::size_t link_count = graph.EdgeCount() * 2;
-  const std::vector<LinkCapOp> fault_ops =
-      config.faults.Empty()
-          ? std::vector<LinkCapOp>{}
-          : ExpandFaultSchedule(graph, config.faults, config.queue_capacity);
-  std::vector<std::int32_t> caps;
-  if (!fault_ops.empty()) caps.assign(link_count, config.queue_capacity);
-  std::size_t fault_cursor = 0;
-  LinkHealthHarness mon(graph, link_count, config.monitor, config.duration);
-
-  // Flight recorder: observes copies (the unit that queues on links), never
-  // draws from `rng` — byte-identical results with the recorder on or off.
-  flight::RunScope flight_run{
-      "broadcast", config.duration, graph.EdgeCount() * 2,
-      [&csr](std::uint64_t link) {
-        const auto [u, v] = csr.Endpoints(static_cast<graph::EdgeId>(link / 2));
-        return link % 2 == 0 ? std::to_string(u) + "->" + std::to_string(v)
-                             : std::to_string(v) + "->" + std::to_string(u);
-      }};
-  flight::Recorder* const fr = flight_run.recorder();
+  flight::Recorder* const fr = run.recorder();
   const bool fr_sample = fr != nullptr && fr->SamplingOn();
   const bool fr_ts = fr != nullptr && fr->TimeSeriesOn();
   std::int64_t fr_in_flight = 0;
@@ -154,24 +124,22 @@ BroadcastSimResult RunBroadcastSim(const graph::Graph& graph,
   };
 
   auto enqueue = [&](std::uint32_t copy_id, std::uint64_t link, double now) {
-    LinkQueue& q = links[link];
-    const std::int32_t cap = caps.empty() ? config.queue_capacity : caps[link];
-    if (static_cast<int>(q.copies.size()) >= cap) {
+    if (links.Size(link) >= run.Capacity(link, now)) {
       MessageState& message = messages[pool[copy_id].message];
       message.dropped_any = true;
       --message.outstanding;
       if (message.measured) ++result.copies_dropped;
       ++obs_drops;
-      if (mon.on()) mon.CountDrop(mon.WindowIndex(now), link);
+      run.CountDrop(now, link);
       if (fr_sample) fr->PacketDropped(pool[copy_id].rec, link, now);
       if (fr_ts) fr->InFlight(now, --fr_in_flight);
       return;
     }
-    q.copies.push_back(copy_id);
-    result.max_queue_depth =
-        std::max(result.max_queue_depth, static_cast<int>(q.copies.size()));
-    const bool service_now = q.copies.size() == 1;
-    if (fr_ts) fr->LinkQueueDepth(link, now, static_cast<int>(q.copies.size()));
+    links.Push(link, copy_id);
+    const int depth = links.Size(link);
+    result.max_queue_depth = std::max(result.max_queue_depth, depth);
+    const bool service_now = depth == 1;
+    if (fr_ts) fr->LinkQueueDepth(link, now, depth);
     if (fr_sample) fr->HopEnqueue(pool[copy_id].rec, link, now, service_now);
     if (service_now) {
       schedule(now + kServiceTime, EventKind::kDepart, link);
@@ -202,12 +170,7 @@ BroadcastSimResult RunBroadcastSim(const graph::Graph& graph,
     const Event event = events.top();
     events.pop();
     const double now = event.time;
-    while (fault_cursor < fault_ops.size() &&
-           fault_ops[fault_cursor].time <= now) {
-      caps[fault_ops[fault_cursor].link] = fault_ops[fault_cursor].capacity;
-      ++fault_cursor;
-    }
-    if (mon.on()) mon.AdvanceTo(mon.WindowIndex(now));
+    run.StepMonitorBefore(now);
 
     if (event.kind == EventKind::kGenerate) {
       if (now < config.duration) {
@@ -223,17 +186,14 @@ BroadcastSimResult RunBroadcastSim(const graph::Graph& graph,
       continue;
     }
 
-    LinkQueue& q = links[event.payload];
-    DCN_ASSERT(!q.copies.empty());
-    const std::uint32_t copy_id = q.copies.front();
-    q.copies.pop_front();
-    ++q.transmitted;
-    if (mon.on()) mon.CountTx(mon.WindowIndex(now), event.payload);
+    DCN_ASSERT(!links.Empty(event.payload));
+    const std::uint32_t copy_id = links.PopFront(event.payload);
+    run.CountTx(now, event.payload);
     if (fr_ts) fr->LinkTransmit(event.payload, now);
     if (fr_sample) fr->HopDepart(pool[copy_id].rec, now);
-    if (!q.copies.empty()) {
+    if (!links.Empty(event.payload)) {
       schedule(now + kServiceTime, EventKind::kDepart, event.payload);
-      if (fr_sample) fr->HopServiceStart(pool[q.copies.front()].rec, now);
+      if (fr_sample) fr->HopServiceStart(pool[links.Front(event.payload)].rec, now);
     }
 
     Copy& copy = pool[copy_id];
@@ -252,7 +212,7 @@ BroadcastSimResult RunBroadcastSim(const graph::Graph& graph,
     if (message.measured) {
       result.delivery_latency.Add(now - message.born);
       delivery_sketch.Add(now - message.born);
-      if (mon.on()) mon.AddDelivery(now, now - message.born);
+      run.AddDelivery(now, now - message.born);
       if (message.outstanding == 0 && !message.dropped_any) {
         ++result.complete;
         result.completion_latency.Add(now - message.born);
@@ -262,13 +222,12 @@ BroadcastSimResult RunBroadcastSim(const graph::Graph& graph,
     replicate(copy.message, copy.child, now);
   }
 
-  double busiest = 0.0;
-  for (const LinkQueue& q : links) {
-    if (q.transmitted == 0) continue;
-    busiest = std::max(busiest, static_cast<double>(q.transmitted) * kServiceTime /
-                                    config.duration);
-  }
-  result.max_link_utilization = busiest;
+  // Conservation: the loop drains every queue, so each copy created ended
+  // delivered or dropped.
+  DCN_ASSERT(pool.size() == obs_deliveries + obs_drops);
+  RunTotals totals = run.Finish();
+  result.max_link_utilization = totals.max_link_utilization;
+  result.monitor = std::move(totals.monitor);
 
   // Exact counts determined by (graph, tree, config): the merged obs readout
   // is as reproducible as the simulation.
@@ -282,19 +241,7 @@ BroadcastSimResult RunBroadcastSim(const graph::Graph& graph,
   c_drops.Add(obs_drops);
 
   // Bounded telemetry: latency sketches plus the exact per-link transmit
-  // rollup (link -> transmitting node -> tier -> fabric), whose link and
-  // node levels name the hot links and relays.
-  obs::Rollup link_rollup = obs::MakeLinkRollup();
-  for (std::size_t link = 0; link < links.size(); ++link) {
-    const std::uint64_t tx = links[link].transmitted;
-    if (tx == 0) continue;
-    const auto [u, v] = csr.Endpoints(static_cast<graph::EdgeId>(link / 2));
-    const graph::NodeId tail = link % 2 == 0 ? u : v;  // the transmitter
-    const std::array<std::int64_t, 4> groups{static_cast<std::int64_t>(link),
-                                             static_cast<std::int64_t>(tail),
-                                             csr.IsSwitch(tail) ? 1 : 0, 0};
-    link_rollup.Add(groups, static_cast<std::int64_t>(tx));
-  }
+  // rollup, whose link and node levels name the hot links and relays.
   static obs::SketchMetric& s_delivery =
       obs::GetQuantileSketch("broadcast/delivery_latency");
   static obs::SketchMetric& s_completion =
@@ -303,12 +250,8 @@ BroadcastSimResult RunBroadcastSim(const graph::Graph& graph,
       obs::GetRollup("broadcast/links", obs::LinkRollupLevels());
   s_delivery.Merge(delivery_sketch);
   s_completion.Merge(completion_sketch);
-  r_links.Merge(link_rollup);
-  if (mon.on()) {
-    result.monitor = mon.Finish();
-    obs::monitor::PublishRun("broadcast", config.faults.events.size(),
-                             result.monitor);
-  }
+  r_links.Merge(totals.links);
+  run.Publish(result.monitor);
   return result;
 }
 

@@ -3,7 +3,10 @@
 // each received message to its children. Store-and-forward FIFO links with
 // unit service time, drop-tail queues — the one-to-all counterpart of
 // sim/packetsim.h, validating the GBC3 broadcast claim under load: how fast
-// can the tree stream, and where does replication congest first?
+// can the tree stream, and where does replication congest first? It shares
+// packetsim's run plumbing (ring link store, fault capacities, monitor
+// windows, flight scope, link totals) through sim::RunHarness
+// (sim/run_harness.h); its own event loop pops (time, seq).
 #pragma once
 
 #include <cstdint>
@@ -53,7 +56,8 @@ struct BroadcastSimResult {
 
 // `tree` must cover at least 2 servers and be consistent with `graph`
 // (parents adjacent to via switches adjacent to children). Runs until every
-// injected copy is delivered or dropped.
+// injected copy is delivered or dropped, and checks that it was: copies
+// created == copies delivered + copies dropped.
 BroadcastSimResult RunBroadcastSim(const graph::Graph& graph,
                                    const routing::SpanningTree& tree,
                                    const BroadcastSimConfig& config = {});

@@ -1,7 +1,6 @@
 #include "sim/failures.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/error.h"
 
@@ -30,58 +29,31 @@ graph::FailureSet RandomFailures(const topo::Topology& net,
   return failures;
 }
 
-std::vector<LinkCapOp> ExpandFaultSchedule(const graph::Graph& graph,
-                                           const FaultSchedule& schedule,
-                                           int default_capacity) {
-  DCN_REQUIRE(default_capacity >= 1, "default capacity must be >= 1");
+std::vector<FaultEvent> SortedFaultEvents(const graph::Graph& graph,
+                                          const FaultSchedule& schedule,
+                                          int max_capacity) {
+  const auto edge_count = static_cast<std::int64_t>(graph.EdgeCount());
+  const auto node_count = static_cast<std::int64_t>(graph.NodeCount());
+  for (const FaultEvent& event : schedule.events) {
+    DCN_REQUIRE(event.time >= 0.0, "fault time must be >= 0");
+    if (event.kind == FaultKind::kNodeDown) {
+      DCN_REQUIRE(event.entity >= 0 && event.entity < node_count,
+                  "fault node id out of range");
+    } else {
+      DCN_REQUIRE(event.entity >= 0 && event.entity < edge_count,
+                  "fault edge id out of range");
+    }
+    if (event.kind == FaultKind::kLinkDegrade) {
+      DCN_REQUIRE(event.capacity >= 0 && event.capacity <= max_capacity,
+                  "degrade capacity outside [0, queue_capacity]");
+    }
+  }
   std::vector<FaultEvent> events = schedule.events;
-  // Stable by time: same-time events keep schedule order, so a later
-  // schedule entry deterministically wins a same-time same-link conflict.
   std::stable_sort(events.begin(), events.end(),
                    [](const FaultEvent& a, const FaultEvent& b) {
                      return a.time < b.time;
                    });
-  std::vector<LinkCapOp> ops;
-  const auto edge_count = static_cast<std::int64_t>(graph.EdgeCount());
-  const auto node_count = static_cast<std::int64_t>(graph.NodeCount());
-  for (const FaultEvent& event : events) {
-    DCN_REQUIRE(event.time >= 0.0, "fault time must be >= 0");
-    const auto push_edge = [&](std::int64_t edge, std::int32_t capacity) {
-      const auto link = static_cast<std::uint64_t>(2 * edge);
-      ops.push_back({event.time, link, capacity});
-      ops.push_back({event.time, link + 1, capacity});
-    };
-    switch (event.kind) {
-      case FaultKind::kLinkDown:
-      case FaultKind::kLinkRestore:
-      case FaultKind::kLinkDegrade: {
-        DCN_REQUIRE(event.entity >= 0 && event.entity < edge_count,
-                    "fault edge id out of range");
-        std::int32_t capacity = 0;
-        if (event.kind == FaultKind::kLinkRestore) {
-          capacity = default_capacity;
-        } else if (event.kind == FaultKind::kLinkDegrade) {
-          DCN_REQUIRE(event.capacity >= 0 &&
-                          event.capacity <= default_capacity,
-                      "degrade capacity outside [0, queue_capacity]");
-          capacity = event.capacity;
-        }
-        push_edge(event.entity, capacity);
-        break;
-      }
-      case FaultKind::kNodeDown: {
-        DCN_REQUIRE(event.entity >= 0 && event.entity < node_count,
-                    "fault node id out of range");
-        for (std::int64_t edge = 0; edge < edge_count; ++edge) {
-          const auto [u, v] =
-              graph.Endpoints(static_cast<graph::EdgeId>(edge));
-          if (u == event.entity || v == event.entity) push_edge(edge, 0);
-        }
-        break;
-      }
-    }
-  }
-  return ops;
+  return events;
 }
 
 std::vector<DetectionOutcome> MatchDetections(
@@ -123,111 +95,6 @@ std::vector<DetectionOutcome> MatchDetections(
     outcomes.push_back(outcome);
   }
   return outcomes;
-}
-
-LinkHealthHarness::LinkHealthHarness(const graph::Graph& graph,
-                                     std::size_t link_count,
-                                     const obs::monitor::MonitorConfig& config,
-                                     double duration) {
-  if (!config.enabled) return;
-  DCN_REQUIRE(duration > 0.0, "monitored run needs duration > 0");
-  on_ = true;
-  width_ = config.window_width;
-  window_count_ = static_cast<std::uint32_t>(
-      std::ceil(duration / config.window_width));
-  link_count_ = link_count;
-  monitor_ = std::make_unique<obs::monitor::HealthMonitor>(config);
-  link_tail_.resize(link_count);
-  for (std::size_t link = 0; link < link_count; ++link) {
-    const auto [u, v] =
-        graph.Endpoints(static_cast<graph::EdgeId>(link / 2));
-    link_tail_[link] = link % 2 == 0 ? u : v;
-    monitor_->AddEntity(obs::monitor::EntityKind::kLink,
-                        static_cast<std::int64_t>(link));
-  }
-  switch_entity_.assign(graph.NodeCount(), ~0u);
-  for (graph::NodeId node = 0;
-       static_cast<std::size_t>(node) < graph.NodeCount(); ++node) {
-    if (!graph.IsSwitch(node)) continue;
-    switch_entity_[node] =
-        monitor_->AddEntity(obs::monitor::EntityKind::kNode, node);
-  }
-  monitor_->AddSignal("tx", obs::monitor::SignalDirection::kDrop);
-  monitor_->AddSignal("drops", obs::monitor::SignalDirection::kSpike);
-  monitor_->Seal(window_count_);
-  cur_tx_.assign(link_count, 0);
-  cur_drop_.assign(link_count, 0);
-  values_.assign(2, std::vector<std::int64_t>(monitor_->EntityCount(), 0));
-}
-
-void LinkHealthHarness::AdvanceTo(std::uint32_t window) {
-  const std::uint32_t target = std::min(window, window_count_);
-  while (monitor_->WindowsStepped() < target) StepCurrent();
-}
-
-void LinkHealthHarness::CountTx(std::uint32_t window, std::uint64_t link) {
-  if (window >= window_count_) return;
-  ++cur_tx_[link];
-}
-
-void LinkHealthHarness::CountDrop(std::uint32_t window, std::uint64_t link) {
-  if (window >= window_count_) return;
-  ++cur_drop_[link];
-}
-
-void LinkHealthHarness::StepCurrent() {
-  const std::uint32_t window = monitor_->WindowsStepped();
-  std::fill(values_[0].begin(), values_[0].end(), 0);
-  std::fill(values_[1].begin(), values_[1].end(), 0);
-  std::uint64_t drops = 0;
-  for (std::size_t link = 0; link < link_count_; ++link) {
-    values_[0][link] = cur_tx_[link];
-    values_[1][link] = cur_drop_[link];
-    drops += static_cast<std::uint64_t>(cur_drop_[link]);
-    const std::uint32_t entity = switch_entity_[link_tail_[link]];
-    if (entity != ~0u) {
-      values_[0][entity] += cur_tx_[link];
-      values_[1][entity] += cur_drop_[link];
-    }
-  }
-  monitor_->AddDrops(window, drops);
-  monitor_->StepWindow(values_);
-  std::fill(cur_tx_.begin(), cur_tx_.end(), 0);
-  std::fill(cur_drop_.begin(), cur_drop_.end(), 0);
-}
-
-void LinkHealthHarness::StepFrom(const std::uint32_t* tx_row,
-                                 const std::uint32_t* drop_row) {
-  const std::uint32_t window = monitor_->WindowsStepped();
-  std::fill(values_[0].begin(), values_[0].end(), 0);
-  std::fill(values_[1].begin(), values_[1].end(), 0);
-  std::uint64_t drops = 0;
-  for (std::size_t link = 0; link < link_count_; ++link) {
-    values_[0][link] = tx_row[link];
-    values_[1][link] = drop_row[link];
-    drops += drop_row[link];
-    const std::uint32_t entity = switch_entity_[link_tail_[link]];
-    if (entity != ~0u) {
-      values_[0][entity] += tx_row[link];
-      values_[1][entity] += drop_row[link];
-    }
-  }
-  monitor_->AddDrops(window, drops);
-  monitor_->StepWindow(values_);
-}
-
-std::uint32_t LinkHealthHarness::Stepped() const {
-  return monitor_->WindowsStepped();
-}
-
-void LinkHealthHarness::AddDelivery(double time, double latency) {
-  monitor_->AddDelivery(WindowIndex(time), latency);
-}
-
-obs::monitor::MonitorResult LinkHealthHarness::Finish() {
-  if (!on_) return {};
-  while (monitor_->WindowsStepped() < window_count_) StepCurrent();
-  return monitor_->TakeResult();
 }
 
 }  // namespace dcn::sim

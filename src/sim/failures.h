@@ -14,11 +14,14 @@
 // scheduled time onward. Capacity is consulted only at enqueue, so packets
 // already queued on a dying link still transmit; nothing in flight is
 // cancelled and the event order is untouched. An empty schedule therefore
-// leaves the simulation byte-identical to a run without fault support.
+// leaves the simulation byte-identical to a run without fault support. The
+// packet and broadcast simulators read that capacity through
+// sim::RunHarness (sim/run_harness.h); fluid instead terminates the flows
+// that cross a killed element. All three validate the whole schedule up
+// front with SortedFaultEvents.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/rng.h"
@@ -74,22 +77,15 @@ struct FaultSchedule {
   }
 };
 
-// One expanded capacity change on one directed link. The simulators apply
-// these in (time, sequence) order; sequence is the expansion order, so a
-// later schedule entry wins ties on the same link at the same time.
-struct LinkCapOp {
-  double time = 0.0;
-  std::uint64_t link = 0;      // directed-link id (2 * edge + direction)
-  std::int32_t capacity = 0;   // new queue capacity, 0 = dead
-};
-
-// Expands a schedule against a concrete graph into per-directed-link capacity
-// ops sorted by (time, schedule order). `default_capacity` is the simulator's
-// configured queue capacity (what kLinkRestore restores to). Validates every
-// event: time >= 0, entity in range, 0 <= degrade capacity <= default.
-std::vector<LinkCapOp> ExpandFaultSchedule(const graph::Graph& graph,
-                                           const FaultSchedule& schedule,
-                                           int default_capacity);
+// Checks every event against `graph` — time >= 0 (NaN fails), entity in
+// range, 0 <= degrade capacity <= max_capacity — before anything else reads
+// the schedule, then returns the events stable-sorted by time: same-time
+// events keep schedule order, so a later entry wins a same-time conflict.
+// The queueing simulators pass their queue capacity (what kLinkRestore
+// restores); fluid, which has no queues, passes INT_MAX.
+std::vector<FaultEvent> SortedFaultEvents(const graph::Graph& graph,
+                                          const FaultSchedule& schedule,
+                                          int max_capacity);
 
 // ---------------------------------------------------------------------------
 // Detection outcome: pairing scheduled faults with the monitor's alert log.
@@ -109,63 +105,5 @@ struct DetectionOutcome {
 std::vector<DetectionOutcome> MatchDetections(
     const graph::Graph& graph, const FaultSchedule& schedule,
     const obs::monitor::MonitorResult& result);
-
-// ---------------------------------------------------------------------------
-// Shared simulator harness: registers the standard per-link / per-switch
-// signal grid with a HealthMonitor and buffers one window of counts.
-//
-// Entity order (identical in every engine, serial or sharded): directed
-// links 0..L-1 first (entity index == directed-link id), then every switch
-// in ascending node id. Signals: "tx" (kDrop — departures collapsing) and
-// "drops" (kSpike — enqueue rejections). Switch rows aggregate the directed
-// links the switch transmits on.
-class LinkHealthHarness {
- public:
-  // Inactive harness (config.enabled == false) costs nothing per event.
-  LinkHealthHarness(const graph::Graph& graph, std::size_t link_count,
-                    const obs::monitor::MonitorConfig& config, double duration);
-
-  bool on() const { return on_; }
-  std::uint32_t window_count() const { return window_count_; }
-  double width() const { return width_; }
-
-  // Window index for an event time (may be >= window_count past the grid).
-  std::uint32_t WindowIndex(double time) const {
-    return obs::monitor::WindowOf(time, width_);
-  }
-
-  // Serial engines: bump the current window's counters for one event.
-  // `window` must be this event's WindowIndex(); counts past the grid are
-  // ignored. AdvanceTo() steps every window that ends at or before `window`.
-  void AdvanceTo(std::uint32_t window);
-  void CountTx(std::uint32_t window, std::uint64_t link);
-  void CountDrop(std::uint32_t window, std::uint64_t link);
-
-  // Sharded engine: steps window `window` from externally accumulated
-  // per-link rows (the coordinator owns the window matrices).
-  void StepFrom(const std::uint32_t* tx_row, const std::uint32_t* drop_row);
-  std::uint32_t Stepped() const;
-
-  // Measured-delivery recovery aggregates (identical call order in both
-  // engines: the coordinator replays merged deliveries in (time, key) order,
-  // which is the serial delivery order).
-  void AddDelivery(double time, double latency);
-
-  // Flushes remaining windows and returns the result (harness is spent).
-  obs::monitor::MonitorResult Finish();
-
- private:
-  void StepCurrent();
-
-  bool on_ = false;
-  double width_ = 0.0;
-  std::uint32_t window_count_ = 0;
-  std::size_t link_count_ = 0;
-  std::vector<std::uint32_t> switch_entity_;  // node -> entity index or ~0u
-  std::vector<graph::NodeId> link_tail_;      // directed link -> transmitter
-  std::vector<std::int64_t> cur_tx_, cur_drop_;  // serial per-link window row
-  std::vector<std::vector<std::int64_t>> values_;  // [signal][entity] scratch
-  std::unique_ptr<obs::monitor::HealthMonitor> monitor_;
-};
 
 }  // namespace dcn::sim

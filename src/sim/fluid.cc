@@ -29,6 +29,9 @@ FluidResult FluidCompletionTimes(const graph::Graph& graph,
   for (double b : bytes) {
     DCN_REQUIRE(b > 0, "flow sizes must be positive");
   }
+  // Fluid has no queues, so any non-negative degrade is well-formed.
+  const std::vector<FaultEvent> fault_events = SortedFaultEvents(
+      graph, faults, std::numeric_limits<int>::max());
 
   OBS_SPAN("fluid/run");
   // Opening the run here (before the draining loop) also suppresses the
@@ -65,12 +68,7 @@ FluidResult FluidCompletionTimes(const graph::Graph& graph,
   // active flows crossing the dead element at the scheduled instant and hand
   // their capacity to the survivors; degrade/restore are queueing-level and
   // ignored here. Applied cumulatively in time order.
-  std::vector<FaultEvent> fault_events = faults.events;
-  std::stable_sort(fault_events.begin(), fault_events.end(),
-                   [](const FaultEvent& a, const FaultEvent& b) {
-                     return a.time < b.time;
-                   });
-  std::size_t fault_cursor = 0;
+  std::size_t next_fault = 0;
   graph::FailureSet dead{graph};
   const auto crosses_dead = [&](const routing::Route& route) {
     for (std::size_t h = 0; h < route.hops.size(); ++h) {
@@ -87,10 +85,9 @@ FluidResult FluidCompletionTimes(const graph::Graph& graph,
   // event landed (degrades never change the fluid picture).
   const auto apply_due_faults = [&](double now) {
     bool killed = false;
-    while (fault_cursor < fault_events.size() &&
-           fault_events[fault_cursor].time <= now) {
-      const FaultEvent& event = fault_events[fault_cursor++];
-      DCN_REQUIRE(event.time >= 0.0, "fault time must be >= 0");
+    while (next_fault < fault_events.size() &&
+           fault_events[next_fault].time <= now) {
+      const FaultEvent& event = fault_events[next_fault++];
       if (event.kind == FaultKind::kLinkDown) {
         dead.KillEdge(static_cast<graph::EdgeId>(event.entity));
         killed = true;
@@ -133,8 +130,8 @@ FluidResult FluidCompletionTimes(const graph::Graph& graph,
 
     // A fault before the next completion preempts it: drain to the fault
     // instant, kill the crossing flows, and recompute with the survivors.
-    const double fault_time = fault_cursor < fault_events.size()
-                                  ? fault_events[fault_cursor].time
+    const double fault_time = next_fault < fault_events.size()
+                                  ? fault_events[next_fault].time
                                   : kInfinity;
     if (fault_time < now + step) {
       const double partial = std::max(0.0, fault_time - now);
@@ -165,6 +162,10 @@ FluidResult FluidCompletionTimes(const graph::Graph& graph,
       }
     }
   }
+  // Conservation: every flow ended finished, unroutable or killed.
+  std::uint64_t finished = 0;
+  for (const double t : result.finish_time) finished += std::isfinite(t) ? 1 : 0;
+  DCN_ASSERT(finished + unroutable + result.killed_flows == routes.size());
   c_recomputations.Add(static_cast<std::uint64_t>(result.rate_recomputations));
   if (obs::flight::Recorder* fr = flight_run.recorder();
       fr != nullptr && fr->FctOn()) {

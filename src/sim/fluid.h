@@ -40,7 +40,9 @@ FluidResult FluidCompletionTimes(const graph::Graph& graph,
 // whose route crosses the dead element (finish_time stays infinity, counted
 // in killed_flows) and the survivors' max-min rates are recomputed with the
 // released capacity. kLinkDegrade / kLinkRestore are queueing-granularity
-// events and are ignored by the fluid model. An empty schedule is
+// events and are ignored by the fluid model. Every event is still validated
+// up front (SortedFaultEvents), so a malformed one throws
+// dcn::InvalidArgument even when it would never apply. An empty schedule is
 // byte-identical to the overload above.
 FluidResult FluidCompletionTimes(const graph::Graph& graph,
                                  const std::vector<routing::Route>& routes,

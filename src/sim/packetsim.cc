@@ -14,6 +14,7 @@
 #include "common/rng.h"
 #include "obs/flight.h"
 #include "obs/obs.h"
+#include "sim/run_harness.h"
 
 namespace dcn::sim {
 
@@ -21,7 +22,6 @@ namespace flight = obs::flight;
 
 namespace {
 
-constexpr double kServiceTime = 1.0;
 constexpr double kNever = std::numeric_limits<double>::infinity();
 
 struct Packet {
@@ -37,7 +37,9 @@ struct Packet {
 };
 
 // ---------------------------------------------------------------------------
-// Route flattening + config validation, shared by every engine.
+// Route flattening + config validation, shared by every engine. The checks
+// run before any engine builds its injection schedule, whose size the
+// config sets.
 
 struct RoutePlan {
   std::vector<std::vector<std::uint64_t>> route_links;
@@ -49,9 +51,7 @@ RoutePlan FlattenRoutes(const graph::Graph& graph,
                         const std::vector<std::vector<routing::Route>>& candidates,
                         const PacketSimConfig& config) {
   DCN_REQUIRE(config.offered_load > 0, "offered_load must be positive");
-  DCN_REQUIRE(config.duration > config.warmup && config.warmup >= 0,
-              "need 0 <= warmup < duration");
-  DCN_REQUIRE(config.queue_capacity >= 1, "queue capacity must be >= 1");
+  CheckRunConfig(config.duration, config.warmup, config.queue_capacity);
   DCN_REQUIRE(!candidates.empty(), "packet sim needs at least one source");
 
   // Flatten every candidate route to its directed-link sequence; sources
@@ -198,15 +198,6 @@ void FlushObs(const PacketSimResult& result, const ObsLocals& obs) {
   r_flows.Merge(result.telemetry.flows);
 }
 
-// Shared flight-recorder lane namer: directed link -> "u->v".
-std::function<std::string(std::uint64_t)> LaneNamer(const graph::CsrView& csr) {
-  return [&csr](std::uint64_t link) {
-    const auto [u, v] = csr.Endpoints(static_cast<graph::EdgeId>(link / 2));
-    return link % 2 == 0 ? std::to_string(u) + "->" + std::to_string(v)
-                         : std::to_string(v) + "->" + std::to_string(u);
-  };
-}
-
 // ---------------------------------------------------------------------------
 // Serial engines.
 
@@ -248,68 +239,25 @@ class BinaryEventQueue {
   std::priority_queue<Event, std::vector<Event>, EventAfter> queue_;
 };
 
-// Per-directed-link FIFO output queues, capacity-bounded: one contiguous
-// slab of queue_capacity slots per link plus flat head/size/transmitted
-// arrays. No allocation after construction and no pointer chasing in the
-// depart hot path.
-class RingLinkStore {
- public:
-  RingLinkStore(std::size_t links, int capacity)
-      : capacity_(static_cast<std::size_t>(capacity)),
-        slots_(links * capacity_),
-        head_(links, 0),
-        size_(links, 0),
-        transmitted_(links, 0) {}
-
-  int Size(std::size_t link) const { return static_cast<int>(size_[link]); }
-  bool Empty(std::size_t link) const { return size_[link] == 0; }
-  // Packet at the queue head (in service). Link must be non-empty.
-  std::uint32_t Front(std::size_t link) const {
-    return slots_[link * capacity_ + head_[link]];
+// Post-run step shared by both engine families: the harness's link totals
+// and monitor verdicts, the per-route delivery rollup, and the run's
+// conservation checks — the loop drains every queue, so each measured packet
+// ended delivered or dropped, and every measured delivery is counted once per
+// route and once in the latency sketch. Returns the departures over every
+// link.
+std::uint64_t FinalizeRun(PacketSimResult& result, RunHarness& run,
+                          const std::vector<std::uint64_t>& flow_delivered) {
+  DCN_ASSERT(result.delivered + result.dropped == result.measured);
+  RunTotals totals = run.Finish();
+  result.max_link_utilization = totals.max_link_utilization;
+  result.mean_link_utilization = totals.mean_link_utilization;
+  result.monitor = std::move(totals.monitor);
+  if (const flight::Recorder* fr = run.recorder();
+      fr != nullptr && fr->BreakdownOn()) {
+    result.breakdown = fr->Breakdown();
   }
-  std::uint64_t Transmitted(std::size_t link) const {
-    return transmitted_[link];
-  }
-  void Push(std::size_t link, std::uint32_t packet) {
-    std::size_t slot = head_[link] + size_[link];
-    if (slot >= capacity_) slot -= capacity_;
-    slots_[link * capacity_ + slot] = packet;
-    ++size_[link];
-  }
-  std::uint32_t PopFront(std::size_t link) {
-    const std::uint32_t packet = slots_[link * capacity_ + head_[link]];
-    if (++head_[link] == capacity_) head_[link] = 0;
-    --size_[link];
-    ++transmitted_[link];
-    return packet;
-  }
-
- private:
-  std::size_t capacity_;
-  std::vector<std::uint32_t> slots_;
-  std::vector<std::uint32_t> head_;
-  std::vector<std::uint32_t> size_;
-  std::vector<std::uint64_t> transmitted_;
-};
-
-// Post-run rollups from the exact transmit / delivery counts — pure
-// functions of state both engine families agree on byte-for-byte — plus the
-// run's conservation checks: every measured delivery is counted once per
-// route and once in the latency sketch.
-void FinalizeTelemetry(PacketSimResult& result, const graph::CsrView& csr,
-                       std::size_t link_count, const RingLinkStore& links,
-                       const std::vector<std::uint64_t>& flow_delivered) {
   PacketTelemetry& telemetry = result.telemetry;
-  for (std::size_t link = 0; link < link_count; ++link) {
-    const std::uint64_t tx = links.Transmitted(link);
-    if (tx == 0) continue;
-    const auto [u, v] = csr.Endpoints(static_cast<graph::EdgeId>(link / 2));
-    const graph::NodeId tail = link % 2 == 0 ? u : v;  // the transmitter
-    const std::array<std::int64_t, 4> groups{static_cast<std::int64_t>(link),
-                                             static_cast<std::int64_t>(tail),
-                                             csr.IsSwitch(tail) ? 1 : 0, 0};
-    telemetry.links.Add(groups, static_cast<std::int64_t>(tx));
-  }
+  telemetry.links = std::move(totals.links);
   std::uint64_t routed = 0;
   for (std::size_t route = 0; route < flow_delivered.size(); ++route) {
     const std::uint64_t delivered = flow_delivered[route];
@@ -320,6 +268,7 @@ void FinalizeTelemetry(PacketSimResult& result, const graph::CsrView& csr,
   }
   DCN_ASSERT(routed == result.delivered);
   DCN_ASSERT(telemetry.latency.Count() == result.delivered);
+  return totals.transmitted;
 }
 
 PacketSimResult RunPacketSimSerialImpl(
@@ -329,37 +278,20 @@ PacketSimResult RunPacketSimSerialImpl(
   const RoutePlan plan = FlattenRoutes(graph, candidates, config);
   std::vector<std::size_t> next_candidate(candidates.size(), 0);
 
-  const std::size_t link_count = graph.EdgeCount() * 2;
-  RingLinkStore links(link_count, config.queue_capacity);
+  // Link store, fault capacities, monitor windows and flight scope
+  // (sim/run_harness.h). None of them draws from `rng`, so the injection
+  // stream is identical with faults, monitor or recorder on or off; the
+  // flight recorder samples from its own salted stream.
+  RunHarness run{"packetsim", graph, config.duration, config.warmup,
+                 config.queue_capacity, config.faults, config.monitor};
+  const std::size_t link_count = run.link_count();
+  RingLinkStore& links = run.links();
   std::vector<Packet> pool;
   BinaryEventQueue events;
   Rng rng{config.seed};
   PacketSimResult result;
 
-  // Mid-run faults: per-directed-link capacity ops applied in time order.
-  // Capacity is consulted only at enqueue (drain-then-dead), so an empty
-  // schedule leaves every branch below untouched. Faults never draw from
-  // `rng`, so the injection stream is identical with or without them.
-  const std::vector<LinkCapOp> fault_ops =
-      config.faults.Empty()
-          ? std::vector<LinkCapOp>{}
-          : ExpandFaultSchedule(graph, config.faults, config.queue_capacity);
-  std::vector<std::int32_t> caps;
-  if (!fault_ops.empty()) caps.assign(link_count, config.queue_capacity);
-  std::size_t fault_cursor = 0;
-
-  // Online health monitor (obs/monitor.h): per-link tx/drop counts bucketed
-  // into fixed windows by floor(time / width) — the same attribution rule the
-  // sharded engine uses — and stepped at window boundaries. Observational
-  // only; inactive unless config.monitor.enabled.
-  LinkHealthHarness mon(graph, link_count, config.monitor, config.duration);
-
-  // Flight recorder (obs/flight.h): purely observational. Sampling decisions
-  // come from an RNG stream forked off the recorder's own salt — never from
-  // `rng` — so results below are byte-identical with the recorder on or off.
-  flight::RunScope flight_run{"packetsim", config.duration, link_count,
-                              LaneNamer(graph.Csr())};
-  flight::Recorder* const fr = flight_run.recorder();
+  flight::Recorder* const fr = run.recorder();
   const bool fr_sample = fr != nullptr && fr->SamplingOn();
   const bool fr_ts = fr != nullptr && fr->TimeSeriesOn();
   const bool fr_bd = fr != nullptr && fr->BreakdownOn();
@@ -379,11 +311,9 @@ PacketSimResult RunPacketSimSerialImpl(
   // On enqueue, a packet either joins the FIFO (starting service if the link
   // was idle) or is dropped.
   auto enqueue = [&](std::uint32_t packet, std::uint64_t link, double now) {
-    const std::int32_t cap =
-        caps.empty() ? config.queue_capacity : caps[link];
-    if (links.Size(link) >= cap) {
+    if (links.Size(link) >= run.Capacity(link, now)) {
       if (pool[packet].measured) ++result.dropped;
-      if (mon.on()) mon.CountDrop(mon.WindowIndex(now), link);
+      run.CountDrop(now, link);
       if (fr_sample) fr->PacketDropped(pool[packet].rec, link, now);
       if (fr_ts) fr->InFlight(now, --fr_in_flight);
       return;
@@ -412,12 +342,7 @@ PacketSimResult RunPacketSimSerialImpl(
     events.Pop();
     ++obs.events;
     const double now = event.time;
-    while (fault_cursor < fault_ops.size() &&
-           fault_ops[fault_cursor].time <= now) {
-      caps[fault_ops[fault_cursor].link] = fault_ops[fault_cursor].capacity;
-      ++fault_cursor;
-    }
-    if (mon.on()) mon.AdvanceTo(mon.WindowIndex(now));
+    run.StepMonitorBefore(now);
 
     if (event.kind == EventKind::kGenerate) {
       const auto source = static_cast<std::size_t>(event.payload);
@@ -456,7 +381,7 @@ PacketSimResult RunPacketSimSerialImpl(
     // kDepart: the head of this link's queue finished transmission.
     DCN_ASSERT(!links.Empty(event.payload));
     const std::uint32_t id = links.PopFront(event.payload);
-    if (mon.on()) mon.CountTx(mon.WindowIndex(now), event.payload);
+    run.CountTx(now, event.payload);
     if (fr_ts) fr->LinkTransmit(event.payload, now);
     if (fr_sample) fr->HopDepart(pool[id].rec, now);
     if (!links.Empty(event.payload)) {
@@ -474,7 +399,7 @@ PacketSimResult RunPacketSimSerialImpl(
         const double latency = now - packet.born;
         result.latency.Add(latency);
         AddDeliveryTelemetry(result.telemetry, latency, packet.hop);
-        if (mon.on()) mon.AddDelivery(now, latency);
+        run.AddDelivery(now, latency);
         if (fr_bd) fr->Delivery(latency, static_cast<int>(packet.hop));
       }
       if (fr_sample) fr->PacketDelivered(packet.rec, now);
@@ -484,30 +409,9 @@ PacketSimResult RunPacketSimSerialImpl(
     }
   }
 
-  double busiest = 0.0, total = 0.0;
-  std::size_t busy_links = 0;
-  for (std::size_t link = 0; link < link_count; ++link) {
-    const std::uint64_t transmitted = links.Transmitted(link);
-    if (transmitted == 0) continue;
-    const double utilization =
-        static_cast<double>(transmitted) * kServiceTime / config.duration;
-    busiest = std::max(busiest, utilization);
-    total += utilization;
-    ++busy_links;
-  }
-  result.max_link_utilization = busiest;
-  result.mean_link_utilization =
-      busy_links == 0 ? 0.0 : total / static_cast<double>(busy_links);
-
-  DCN_ASSERT(result.delivered + result.dropped <= result.measured);
-  if (fr_bd) result.breakdown = fr->Breakdown();
-  FinalizeTelemetry(result, graph.Csr(), link_count, links, flow_delivered);
+  FinalizeRun(result, run, flow_delivered);
   FlushObs(result, obs);
-  if (mon.on()) {
-    result.monitor = mon.Finish();
-    obs::monitor::PublishRun("packetsim", config.faults.events.size(),
-                             result.monitor);
-  }
+  run.Publish(result.monitor);
   return result;
 }
 
@@ -646,13 +550,22 @@ PacketSimResult RunPacketSimMultipathSharded(
     const std::vector<std::vector<routing::Route>>& candidates,
     const PacketSimConfig& config, SprayPolicy policy) {
   const RoutePlan plan = FlattenRoutes(graph, candidates, config);
-  const std::size_t link_count = graph.EdgeCount() * 2;
   const InjectionSchedule schedule =
       BuildInjections(plan, candidates.size(), config, policy);
   const std::vector<Injection>& injections = schedule.injections;
   const std::size_t packet_count = injections.size();
 
-  RingLinkStore store(link_count, config.queue_capacity);
+  // Link store, fault capacities, monitor windows and flight scope
+  // (sim/run_harness.h), built after the schedule so its buffers are not
+  // live while the schedule grows. Members read and count only their own
+  // links' fault and window state, so no two threads touch the same cell;
+  // the coordinator steps a monitor window once no remaining event can land
+  // in it (every future event's time is >= `next`).
+  RunHarness run{"packetsim", graph, config.duration, config.warmup,
+                 config.queue_capacity, config.faults, config.monitor};
+  const std::size_t link_count = run.link_count();
+  RingLinkStore& store = run.links();
+
   std::vector<Packet> pool(packet_count);
   PacketSimResult result;
   result.generated = packet_count;
@@ -660,35 +573,7 @@ PacketSimResult RunPacketSimMultipathSharded(
     if (inj.time >= config.warmup) ++result.measured;
   }
 
-  // Mid-run faults. Capacity ops are pre-partitioned by link owner; each
-  // member applies its own ops in time order before the events that read
-  // them, so every enqueue sees the identical per-link capacity the serial
-  // engine would (capacity is only ever read by the link's owner, and member
-  // event times are monotone within and across windows).
-  const std::vector<LinkCapOp> fault_ops =
-      config.faults.Empty()
-          ? std::vector<LinkCapOp>{}
-          : ExpandFaultSchedule(graph, config.faults, config.queue_capacity);
-  std::vector<std::int32_t> caps;
-  if (!fault_ops.empty()) caps.assign(link_count, config.queue_capacity);
-
-  // Online health monitor. Members count departs/drops for their own link
-  // block into per-window matrices (barrier-separated from the coordinator's
-  // reads); the coordinator steps a window's detectors once no remaining
-  // event can touch it — every future event's time is >= `next`, so windows
-  // strictly before WindowOf(next) are final. Window attribution uses the
-  // same floor(time / width) rule as the serial engine.
-  LinkHealthHarness mon(graph, link_count, config.monitor, config.duration);
-  const bool mon_on = mon.on();
-  const double mon_width = mon_on ? mon.width() : 1.0;
-  const std::uint32_t mon_windows = mon_on ? mon.window_count() : 0;
-  std::vector<std::uint32_t> win_tx(
-      mon_on ? static_cast<std::size_t>(mon_windows) * link_count : 0, 0);
-  std::vector<std::uint32_t> win_drop(win_tx.size(), 0);
-
-  flight::RunScope flight_run{"packetsim", config.duration, link_count,
-                              LaneNamer(graph.Csr())};
-  flight::Recorder* const fr = flight_run.recorder();
+  flight::Recorder* const fr = run.recorder();
   const bool fr_sample = fr != nullptr && fr->SamplingOn();
   const bool fr_ts = fr != nullptr && fr->TimeSeriesOn();
   const bool fr_bd = fr != nullptr && fr->BreakdownOn();
@@ -703,11 +588,6 @@ PacketSimResult RunPacketSimMultipathSharded(
   auto owner_of = [&](std::uint64_t link) {
     return link_count == 0 ? 0 : static_cast<int>(link * team_u / link_count);
   };
-  std::vector<std::vector<LinkCapOp>> member_fault_ops(
-      static_cast<std::size_t>(team));
-  for (const LinkCapOp& op : fault_ops) {
-    member_fault_ops[static_cast<std::size_t>(owner_of(op.link))].push_back(op);
-  }
 
   std::vector<Member> members(static_cast<std::size_t>(team));
   for (Member& m : members) {
@@ -760,7 +640,7 @@ PacketSimResult RunPacketSimMultipathSharded(
       result.latency.Add(d.latency);
       ++flow_delivered[d.route];
       AddDeliveryTelemetry(result.telemetry, d.latency, d.hops);
-      if (mon_on) mon.AddDelivery(d.time, d.latency);
+      run.AddDelivery(d.time, d.latency);
       if (fr_bd) fr->Delivery(d.latency, static_cast<int>(d.hops));
     }
     if (fr != nullptr) {
@@ -807,18 +687,7 @@ PacketSimResult RunPacketSimMultipathSharded(
     }
     double next = cursor < packet_count ? injections[cursor].time : kNever;
     for (double m : mins) next = std::min(next, m);
-    if (mon_on) {
-      // Windows strictly before the earliest remaining event are final.
-      const std::uint32_t safe =
-          next == kNever
-              ? mon_windows
-              : std::min(mon_windows, obs::monitor::WindowOf(next, mon_width));
-      while (mon.Stepped() < safe) {
-        const auto w = static_cast<std::size_t>(mon.Stepped());
-        mon.StepFrom(win_tx.data() + w * link_count,
-                     win_drop.data() + w * link_count);
-      }
-    }
+    run.StepMonitorBefore(next);
     open_window(next);
   };
 
@@ -826,24 +695,14 @@ PacketSimResult RunPacketSimMultipathSharded(
   RunTeam(team, [&](int me, SpinBarrier& barrier) {
     OBS_SPAN("packetsim/shard");
     Member& m = members[static_cast<std::size_t>(me)];
-    const std::vector<LinkCapOp>& my_fault_ops =
-        member_fault_ops[static_cast<std::size_t>(me)];
-    std::size_t fault_cursor = 0;
 
     // Enqueue `id` onto `e.link` (or drop), exactly the serial engine's
     // logic, with flight calls buffered at sub_base/sub_base+1.
     auto apply_enqueue = [&](const ShardEvent& e, std::uint32_t sub_base) {
       const std::uint32_t id = e.id;
-      const std::int32_t cap_limit =
-          caps.empty() ? config.queue_capacity : caps[e.link];
-      if (store.Size(e.link) >= cap_limit) {
+      if (store.Size(e.link) >= run.Capacity(e.link, e.time)) {
         if (pool[id].measured) ++m.dropped;
-        if (mon_on) {
-          const std::uint32_t w = obs::monitor::WindowOf(e.time, mon_width);
-          if (w < mon_windows) {
-            ++win_drop[static_cast<std::size_t>(w) * link_count + e.link];
-          }
-        }
+        run.CountDrop(e.time, e.link);
         if (fr_sample && sampled[id] != 0) {
           m.ops.push_back({e.time, e.key, sub_base, FlightOpKind::kDropped, id,
                            e.link, 0});
@@ -921,21 +780,10 @@ PacketSimResult RunPacketSimMultipathSharded(
       m.processed += m.events.size();
 
       for (const ShardEvent& e : m.events) {
-        while (fault_cursor < my_fault_ops.size() &&
-               my_fault_ops[fault_cursor].time <= e.time) {
-          caps[my_fault_ops[fault_cursor].link] =
-              my_fault_ops[fault_cursor].capacity;
-          ++fault_cursor;
-        }
         if (e.kind == kDepartEvent) {
           const std::uint32_t id = store.PopFront(e.link);
           DCN_ASSERT(id == e.id);
-          if (mon_on) {
-            const std::uint32_t w = obs::monitor::WindowOf(e.time, mon_width);
-            if (w < mon_windows) {
-              ++win_tx[static_cast<std::size_t>(w) * link_count + e.link];
-            }
-          }
+          run.CountTx(e.time, e.link);
           if (fr_ts) {
             m.ops.push_back(
                 {e.time, e.key, 0, FlightOpKind::kTransmit, 0, e.link, 0});
@@ -1014,31 +862,12 @@ PacketSimResult RunPacketSimMultipathSharded(
     result.max_queue_depth = std::max(result.max_queue_depth, m.max_depth);
   }
 
-  double busiest = 0.0, total = 0.0;
-  std::size_t busy_links = 0;
-  std::uint64_t transmitted_total = 0;
-  for (std::size_t link = 0; link < link_count; ++link) {
-    const std::uint64_t transmitted = store.Transmitted(link);
-    transmitted_total += transmitted;
-    if (transmitted == 0) continue;
-    const double utilization =
-        static_cast<double>(transmitted) * kServiceTime / config.duration;
-    busiest = std::max(busiest, utilization);
-    total += utilization;
-    ++busy_links;
-  }
-  result.max_link_utilization = busiest;
-  result.mean_link_utilization =
-      busy_links == 0 ? 0.0 : total / static_cast<double>(busy_links);
-
-  DCN_ASSERT(result.delivered + result.dropped <= result.measured);
-  if (fr_bd) result.breakdown = fr->Breakdown();
-  FinalizeTelemetry(result, graph.Csr(), link_count, store, flow_delivered);
+  const std::uint64_t departs = FinalizeRun(result, run, flow_delivered);
 
   ObsLocals obs;
   // Exact pop-count parity with the serial loop: one event per generate pop
   // (retirements included) plus one per depart.
-  obs.events = schedule.generate_events + transmitted_total;
+  obs.events = schedule.generate_events + departs;
   obs.queue_depth.assign(static_cast<std::size_t>(config.queue_capacity) + 1, 0);
   obs.hops.assign(plan.longest_route + 1, 0);
   for (const Member& m : members) {
@@ -1068,13 +897,7 @@ PacketSimResult RunPacketSimMultipathSharded(
   for (const Member& m : members) {
     h_shard.Add(static_cast<std::int64_t>(m.processed));
   }
-  if (mon_on) {
-    // The final coordinate() round saw next == kNever and stepped every
-    // remaining window, so Finish() only moves the result out.
-    result.monitor = mon.Finish();
-    obs::monitor::PublishRun("packetsim", config.faults.events.size(),
-                             result.monitor);
-  }
+  run.Publish(result.monitor);
   return result;
 }
 

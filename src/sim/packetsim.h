@@ -20,7 +20,9 @@
 // (sharded, conservative-lookahead windows of one service time between
 // barriers) and RunPacketSimSerial (reference event loop) are byte-identical
 // to each other at any DCN_THREADS setting, with the flight recorder on or
-// off.
+// off. Both engines take their link store, fault capacities, monitor
+// windows, flight scope and finalize step from one sim::RunHarness
+// (sim/run_harness.h).
 #pragma once
 
 #include <cstdint>
@@ -46,10 +48,11 @@ struct PacketSimConfig {
   double warmup = 200.0;     // packets born before this are not measured
   int queue_capacity = 16;   // packets per directed-link queue (incl. in service)
   std::uint64_t seed = 0xdcf1035;
-  // Mid-run fault schedule (sim/failures.h): capacity changes applied in
-  // event-time order by every engine. Faults never touch the injection RNG,
-  // so an empty schedule leaves the run byte-identical to one without fault
-  // support; drain-then-dead semantics (capacity checked at enqueue only).
+  // Mid-run fault schedule (sim/failures.h): each enqueue reads its link's
+  // capacity at the event time (sim/run_harness.h), identically in every
+  // engine. Faults never touch the injection RNG, so an empty schedule
+  // leaves the run byte-identical to one without fault support;
+  // drain-then-dead semantics (capacity checked at enqueue only).
   FaultSchedule faults;
   // Online health monitor (obs/monitor.h). When enabled, per-directed-link
   // "tx"/"drops" windows feed integer EWMA/CUSUM detectors during the run;

@@ -8,6 +8,8 @@
 //  * the acceptance scenario: a faulted ABCCC(4,3,2) run whose alert log is
 //    bit-identical at DCN_THREADS 1/2/4/8, with every scheduled fault
 //    detected and zero false alarms on the fault-free control;
+//  * same-instant fault conflicts resolve in schedule order on every engine,
+//    and every simulator rejects a malformed schedule up front;
 //  * broadcast and fluid fault semantics, MatchDetections pairing, and the
 //    alerts JSON / stats block / Chrome-trace instant-event exports.
 #include "obs/monitor.h"
@@ -21,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "common/error.h"
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "graph/graph.h"
@@ -351,6 +354,112 @@ TEST_F(MonitorTest, FaultedAbcccAlertLogIsThreadInvariantAndComplete) {
     EXPECT_EQ(sharded.dropped, serial.dropped);
     ExpectSameMonitor(sharded.monitor, serial.monitor);
   }
+}
+
+// Same-instant conflicts resolve in schedule order, the later entry winning,
+// in every engine at every thread count. Two oracles make the rule visible:
+// a degrade, kill and restore of one edge at one instant net to no fault at
+// all, and a switch kill followed at the same instant by a restore of one of
+// its edges equals killing only the switch's other edges.
+TEST_F(MonitorTest, SameInstantConflictingFaultsResolveInScheduleOrder) {
+  AcceptanceSetup s;
+  const Graph& g = s.net.Network();
+  const auto edge = static_cast<graph::EdgeId>(s.schedule.events[1].entity);
+  const auto node = static_cast<graph::NodeId>(s.schedule.events[2].entity);
+  const graph::EdgeId spared = g.Neighbors(node)[0].edge;
+
+  sim::PacketSimConfig conflicted = s.config;
+  conflicted.faults.DegradeLink(150.0, edge, 1)
+      .KillLink(150.0, edge)
+      .RestoreLink(150.0, edge)
+      .KillNode(200.0, node)
+      .RestoreLink(200.0, spared);
+  sim::PacketSimConfig resolved = s.config;
+  for (const graph::HalfEdge& half : g.Neighbors(node)) {
+    if (half.edge != spared) resolved.faults.KillLink(200.0, half.edge);
+  }
+
+  SetThreadCount(1);
+  const sim::PacketSimResult plain =
+      sim::RunPacketSimSerial(g, s.routes, s.config);
+  const sim::PacketSimResult oracle =
+      sim::RunPacketSimSerial(g, s.routes, resolved);
+  const sim::PacketSimResult serial =
+      sim::RunPacketSimSerial(g, s.routes, conflicted);
+  EXPECT_GT(oracle.dropped, plain.dropped);
+  EXPECT_EQ(serial.delivered, oracle.delivered);
+  EXPECT_EQ(serial.dropped, oracle.dropped);
+  EXPECT_EQ(serial.latency.Mean(), oracle.latency.Mean());
+  EXPECT_EQ(serial.max_link_utilization, oracle.max_link_utilization);
+  ExpectSameMonitor(serial.monitor, oracle.monitor);
+
+  for (const int threads : {1, 3, 7}) {
+    SCOPED_TRACE(threads);
+    SetThreadCount(threads);
+    const sim::PacketSimResult sharded =
+        sim::RunPacketSim(g, s.routes, conflicted);
+    EXPECT_EQ(sharded.delivered, serial.delivered);
+    EXPECT_EQ(sharded.dropped, serial.dropped);
+    EXPECT_EQ(sharded.latency.Mean(), serial.latency.Mean());
+    EXPECT_EQ(sharded.max_queue_depth, serial.max_queue_depth);
+    EXPECT_EQ(sharded.max_link_utilization, serial.max_link_utilization);
+    ExpectSameMonitor(sharded.monitor, serial.monitor);
+  }
+}
+
+// Every simulator that takes a fault schedule checks all of it up front,
+// including events due after the run ends and kinds it ignores (fluid has
+// no queues to degrade), and a NaN time never reaches the sort.
+TEST_F(MonitorTest, MalformedFaultSchedulesAreRejectedByEverySimulator) {
+  Graph g;
+  const graph::NodeId s0 = g.AddNode(NodeKind::kServer);
+  const graph::NodeId s1 = g.AddNode(NodeKind::kServer);
+  const graph::NodeId sw = g.AddNode(NodeKind::kSwitch);
+  g.AddEdge(s0, sw);
+  g.AddEdge(sw, s1);
+  const std::vector<Route> routes = {Route{{s0, sw, s1}}};
+  routing::SpanningTree tree;
+  tree.root = s0;
+  tree.parent = {graph::kInvalidNode, s0, graph::kInvalidNode};
+  tree.via = {graph::kInvalidNode, sw, graph::kInvalidNode};
+  tree.depth = {0, 2, -1};
+
+  std::vector<sim::FaultSchedule> malformed(4);
+  malformed[0].KillLink(100.0, 7);  // no edge 7, and due after the run
+  malformed[1].DegradeLink(1.0, 0, -3);
+  malformed[2].KillNode(100.0, 42);
+  malformed[3].KillLink(std::nan(""), 0);
+  SetThreadCount(1);
+  for (std::size_t i = 0; i < malformed.size(); ++i) {
+    SCOPED_TRACE(i);
+    sim::PacketSimConfig packet;
+    packet.duration = 50;
+    packet.warmup = 0;
+    packet.faults = malformed[i];
+    EXPECT_THROW(sim::RunPacketSim(g, routes, packet), dcn::InvalidArgument);
+    sim::BroadcastSimConfig broadcast;
+    broadcast.duration = 50;
+    broadcast.warmup = 0;
+    broadcast.faults = malformed[i];
+    EXPECT_THROW(sim::RunBroadcastSim(g, tree, broadcast),
+                 dcn::InvalidArgument);
+    EXPECT_THROW(sim::FluidCompletionTimes(g, routes, {1.0}, malformed[i]),
+                 dcn::InvalidArgument);
+  }
+  // The same graph runs cleanly on every engine with a well-formed schedule.
+  sim::FaultSchedule valid;
+  valid.DegradeLink(1.0, 0, 0).KillNode(100.0, sw);
+  EXPECT_NO_THROW(sim::FluidCompletionTimes(g, routes, {1.0}, valid));
+  sim::PacketSimConfig packet;
+  packet.duration = 50;
+  packet.warmup = 0;
+  packet.faults = valid;
+  EXPECT_NO_THROW(sim::RunPacketSim(g, routes, packet));
+  sim::BroadcastSimConfig broadcast;
+  broadcast.duration = 50;
+  broadcast.warmup = 0;
+  broadcast.faults = valid;
+  EXPECT_NO_THROW(sim::RunBroadcastSim(g, tree, broadcast));
 }
 
 TEST_F(MonitorTest, EmptyScheduleFaultedConfigIsByteIdenticalToPlain) {
