@@ -10,6 +10,7 @@
 #include "common/table.h"
 #include "graph/bfs.h"
 #include "topology/cost_model.h"
+#include "topology/expansion.h"
 #include "topology/gabccc.h"
 
 int main(int argc, char** argv) {

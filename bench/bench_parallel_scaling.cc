@@ -11,6 +11,11 @@
 // scaling, and a kernel regression shows up as a falling ratio even on a
 // single-core host (where pure thread scaling is pinned at ~1x). Kernels
 // without a legacy implementation use their own 1-thread run as reference.
+// The sharded packet simulator's reference is an equally optimized serial
+// loop, so its speedup is a ratio of two near-equal times: that row times
+// the reference and the sharded run back to back, pair by pair, and reports
+// the median of the per-pair ratios, so host drift between two separate
+// timing blocks cannot pass for a speedup or a slowdown.
 // `--min-speedup R` (default 2.5 — both ratios are in-process relative, so
 // the bar travels across machines) fails the run if a kernel with a serial
 // reference lands below R at the highest thread count, and `identical: false`
@@ -38,6 +43,7 @@
 #include "bench_reference.h"
 #include "bench_util.h"
 #include "common/cli.h"
+#include "common/error.h"
 #include "common/parallel.h"
 #include "common/table.h"
 #include "graph/bfs.h"
@@ -53,16 +59,23 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+double TimeMs(const std::function<void()>& body) {
+  const auto start = Clock::now();
+  body();
+  return std::chrono::duration<double, std::milli>(Clock::now() - start).count();
+}
+
 double BestOf(int repeats, const std::function<void()>& body) {
   double best = 1e300;
-  for (int r = 0; r < repeats; ++r) {
-    const auto start = Clock::now();
-    body();
-    best = std::min(best,
-                    std::chrono::duration<double, std::milli>(Clock::now() - start)
-                        .count());
-  }
+  for (int r = 0; r < repeats; ++r) best = std::min(best, TimeMs(body));
   return best;
+}
+
+double Median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const std::size_t mid = values.size() / 2;
+  return values.size() % 2 == 1 ? values[mid]
+                                : (values[mid - 1] + values[mid]) / 2.0;
 }
 
 }  // namespace
@@ -78,6 +91,7 @@ int main(int argc, char** argv) {
   const auto pairs = static_cast<std::size_t>(args.GetInt("pairs", 64));
   const auto trials = static_cast<std::size_t>(args.GetInt("trials", 24));
   const int repeats = static_cast<int>(args.GetInt("repeats", 3));
+  DCN_REQUIRE(repeats >= 1, "--repeats must be >= 1");
   const int threads_max = static_cast<int>(args.GetInt("threads-max", 8));
   const double min_speedup = args.GetDouble("min-speedup", 2.5);
   const bool json = args.Has("json");
@@ -124,6 +138,10 @@ int main(int argc, char** argv) {
     // optimized event loop (no algorithmic win to bank), so on a single-core
     // host the honest expectation is ~1x.
     double min_speedup = -1.0;
+    // Time the reference (one thread) and the kernel (the row's thread
+    // count) back to back in each repeat; the row reports the median kernel
+    // time and the median of the per-pair ratios.
+    bool paired = false;
   };
   const std::vector<Kernel> kernels = {
       {"exact-paths (all-pairs MS-BFS)",
@@ -210,7 +228,7 @@ int main(int argc, char** argv) {
        // Honest single-core floor: the sharded engine must stay within 2x of
        // the serial loop when threads cannot help (window sort + barrier
        // overhead), and any thread scaling only raises the measured ratio.
-       0.5},
+       0.5, /*paired=*/true},
   };
 
   struct Row {
@@ -232,7 +250,7 @@ int main(int argc, char** argv) {
   for (const Kernel& kernel : kernels) {
     double ref_ms = 0.0;
     double ref_digest = 0.0;
-    if (kernel.reference) {
+    if (kernel.reference && !kernel.paired) {
       SetThreadCount(1);
       ref_ms = BestOf(repeats, [&] { ref_digest = kernel.reference(); });
     }
@@ -240,19 +258,33 @@ int main(int argc, char** argv) {
     std::uint64_t serial_bu = 0;
     std::uint64_t serial_td = 0;
     for (int threads = 1; threads <= threads_max; threads *= 2) {
-      SetThreadCount(threads);
       double digest = 0.0;
-      // Counter deltas rather than obs::Reset(): a --trace-out run keeps its
-      // span buffer intact across the whole sweep.
-      const std::uint64_t bu0 = obs::CounterValue("msbfs/levels_bottom_up");
-      const std::uint64_t td0 = obs::CounterValue("msbfs/levels_top_down");
-      const double ms = BestOf(repeats, [&] { digest = kernel.run(); });
-      const std::uint64_t bu =
-          (obs::CounterValue("msbfs/levels_bottom_up") - bu0) /
-          static_cast<std::uint64_t>(repeats);
-      const std::uint64_t td =
-          (obs::CounterValue("msbfs/levels_top_down") - td0) /
-          static_cast<std::uint64_t>(repeats);
+      std::uint64_t bu = 0;
+      std::uint64_t td = 0;
+      std::vector<double> run_ms;
+      std::vector<double> pair_ratios;
+      for (int r = 0; r < repeats; ++r) {
+        double pair_ref_ms = 0.0;
+        if (kernel.paired) {
+          SetThreadCount(1);
+          pair_ref_ms = TimeMs([&] { ref_digest = kernel.reference(); });
+        }
+        SetThreadCount(threads);
+        // Counter deltas around the kernel runs only, rather than
+        // obs::Reset(): a --trace-out run keeps its span buffer intact
+        // across the whole sweep.
+        const std::uint64_t bu0 = obs::CounterValue("msbfs/levels_bottom_up");
+        const std::uint64_t td0 = obs::CounterValue("msbfs/levels_top_down");
+        run_ms.push_back(TimeMs([&] { digest = kernel.run(); }));
+        bu += obs::CounterValue("msbfs/levels_bottom_up") - bu0;
+        td += obs::CounterValue("msbfs/levels_top_down") - td0;
+        if (kernel.paired) pair_ratios.push_back(pair_ref_ms / run_ms.back());
+      }
+      bu /= static_cast<std::uint64_t>(repeats);
+      td /= static_cast<std::uint64_t>(repeats);
+      const double ms = kernel.paired
+                            ? Median(run_ms)
+                            : *std::min_element(run_ms.begin(), run_ms.end());
       if (threads == 1) {
         serial_digest = digest;
         serial_bu = bu;
@@ -265,8 +297,8 @@ int main(int argc, char** argv) {
       const bool identical = digest == serial_digest && digest == ref_digest &&
                              bu == serial_bu && td == serial_td;
       all_identical = all_identical && identical;
-      rows.push_back(
-          Row{kernel.name, threads, ms, ref_ms / ms, identical, bu, td});
+      const double speedup = kernel.paired ? Median(pair_ratios) : ref_ms / ms;
+      rows.push_back(Row{kernel.name, threads, ms, speedup, identical, bu, td});
       const double floor = kernel.min_speedup >= 0.0
                                ? std::min(kernel.min_speedup, min_speedup)
                                : min_speedup;

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Pre-submit gate: build Release and ThreadSanitizer configurations and run
-# the full test suite under both. TSan exercises the DCN_THREADS pool with an
+# the full test suite under both; the Release build's F/T tables must also
+# equal the committed results/*.txt byte for byte. TSan exercises the DCN_THREADS pool with an
 # oversubscribed thread count so scheduling interleavings vary; the
 # determinism suites then prove results are still bit-identical.
 #
@@ -28,6 +29,10 @@ echo "== Release build + tests =="
 cmake --preset release
 cmake --build --preset release -j "$JOBS"
 ctest --preset release -j "$JOBS" ${CTEST_ARGS+"${CTEST_ARGS[@]}"}
+
+echo
+echo "== F/T tables vs results/*.txt =="
+scripts/check_results.sh build
 
 echo
 echo "== Traced benchmarks + Chrome trace schema check =="

@@ -3,7 +3,7 @@
 // ABCCC links come in classes — row crossbar links and one class per level
 // plane. Classifying a routed workload's link loads by class shows which
 // plane saturates first (the effective bottleneck the c knob moves), a view
-// aggregate throughput numbers hide. Works for Abccc and GeneralAbccc.
+// aggregate throughput numbers hide. Works for equal and mixed radices alike.
 #pragma once
 
 #include <cstdint>
@@ -27,8 +27,6 @@ struct LinkClassUsage {
 
 // One entry for the crossbar class (if present) and one per level, in level
 // order. Routes must be valid for the network.
-std::vector<LinkClassUsage> ClassifyLinkUsage(
-    const topo::Abccc& net, const std::vector<routing::Route>& routes);
 std::vector<LinkClassUsage> ClassifyLinkUsage(
     const topo::GeneralAbccc& net, const std::vector<routing::Route>& routes);
 

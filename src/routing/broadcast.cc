@@ -38,9 +38,8 @@ Route SpanningTree::PathTo(graph::NodeId server) const {
 namespace {
 
 // Distributes the payload from `owner` to every other member of its row.
-// Works for any ABCCC-family network exposing the shared row/crossbar API.
-template <typename Net>
-void CrossbarFanOut(const Net& net, graph::NodeId owner, SpanningTree& tree) {
+void CrossbarFanOut(const topo::GeneralAbccc& net, graph::NodeId owner,
+                    SpanningTree& tree) {
   if (!net.Params().HasCrossbars()) return;
   const std::uint64_t row = net.RowOf(owner);
   const graph::NodeId xbar = net.CrossbarAt(row);
@@ -53,8 +52,10 @@ void CrossbarFanOut(const Net& net, graph::NodeId owner, SpanningTree& tree) {
   }
 }
 
-template <typename Net>
-SpanningTree BroadcastTreeImpl(const Net& net, graph::NodeId root) {
+}  // namespace
+
+SpanningTree AbcccBroadcastTree(const topo::GeneralAbccc& net,
+                                graph::NodeId root) {
   const graph::Graph& g = net.Network();
   SpanningTree tree;
   tree.root = root;
@@ -99,17 +100,6 @@ SpanningTree BroadcastTreeImpl(const Net& net, graph::NodeId root) {
   return tree;
 }
 
-}  // namespace
-
-SpanningTree AbcccBroadcastTree(const topo::Abccc& net, graph::NodeId root) {
-  return BroadcastTreeImpl(net, root);
-}
-
-SpanningTree AbcccBroadcastTree(const topo::GeneralAbccc& net,
-                                graph::NodeId root) {
-  return BroadcastTreeImpl(net, root);
-}
-
 namespace {
 
 SpanningTree PruneToTargets(const SpanningTree& full, graph::NodeId root,
@@ -137,11 +127,6 @@ SpanningTree PruneToTargets(const SpanningTree& full, graph::NodeId root,
 }
 
 }  // namespace
-
-SpanningTree AbcccMulticastTree(const topo::Abccc& net, graph::NodeId root,
-                                std::span<const graph::NodeId> targets) {
-  return PruneToTargets(AbcccBroadcastTree(net, root), root, targets);
-}
 
 SpanningTree AbcccMulticastTree(const topo::GeneralAbccc& net, graph::NodeId root,
                                 std::span<const graph::NodeId> targets) {

@@ -39,15 +39,12 @@ struct SpanningTree {
   Route PathTo(graph::NodeId server) const;
 };
 
-// Spanning tree covering every server. The GeneralAbccc overload serves
-// mixed-radix (partially grown) deployments identically.
-SpanningTree AbcccBroadcastTree(const topo::Abccc& net, graph::NodeId root);
+// Spanning tree covering every server, on equal-radix (Abccc, Bccc) and
+// mixed-radix (partially grown) deployments alike.
 SpanningTree AbcccBroadcastTree(const topo::GeneralAbccc& net, graph::NodeId root);
 
 // The broadcast tree pruned to the given targets (plus the relay servers
 // needed to reach them).
-SpanningTree AbcccMulticastTree(const topo::Abccc& net, graph::NodeId root,
-                                std::span<const graph::NodeId> targets);
 SpanningTree AbcccMulticastTree(const topo::GeneralAbccc& net, graph::NodeId root,
                                 std::span<const graph::NodeId> targets);
 

@@ -2,11 +2,8 @@
 
 namespace dcn::routing {
 
-namespace {
-
-template <typename Net>
-std::optional<ServerHop> AbcccNextHopImpl(const Net& net, graph::NodeId current,
-                                          graph::NodeId dst) {
+std::optional<ServerHop> AbcccNextHop(const topo::GeneralAbccc& net,
+                                      graph::NodeId current, graph::NodeId dst) {
   if (current == dst) return std::nullopt;
   const auto& params = net.Params();
   const topo::AbcccAddress at = net.AddressOf(current);
@@ -38,18 +35,6 @@ std::optional<ServerHop> AbcccNextHopImpl(const Net& net, graph::NodeId current,
                    net.ServerAtRow(net.RowOf(current), to.role)};
 }
 
-}  // namespace
-
-std::optional<ServerHop> AbcccNextHop(const topo::Abccc& net,
-                                      graph::NodeId current, graph::NodeId dst) {
-  return AbcccNextHopImpl(net, current, dst);
-}
-
-std::optional<ServerHop> AbcccNextHop(const topo::GeneralAbccc& net,
-                                      graph::NodeId current, graph::NodeId dst) {
-  return AbcccNextHopImpl(net, current, dst);
-}
-
 std::optional<ServerHop> BcubeNextHop(const topo::Bcube& net,
                                       graph::NodeId current, graph::NodeId dst) {
   if (current == dst) return std::nullopt;
@@ -75,14 +60,6 @@ std::optional<ServerHop> DcellNextHop(const topo::Dcell& net,
     return ServerHop{route[1], route[2]};
   }
   return ServerHop{graph::kInvalidNode, route[1]};
-}
-
-Route AbcccForwardRoute(const topo::Abccc& net, graph::NodeId src,
-                        graph::NodeId dst) {
-  return ForwardWalk(
-      src, dst,
-      [&](graph::NodeId at, graph::NodeId to) { return AbcccNextHop(net, at, to); },
-      net.RouteLengthBound());
 }
 
 Route AbcccForwardRoute(const topo::GeneralAbccc& net, graph::NodeId src,

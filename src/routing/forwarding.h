@@ -38,10 +38,8 @@ struct ServerHop {
 //     of the lowest differing level;
 //   * digits equal but roles differ               -> crossbar to the
 //     destination's role.
-// Returns nullopt when current == dst. The GeneralAbccc overload applies the
-// same rule on mixed-radix deployments.
-std::optional<ServerHop> AbcccNextHop(const topo::Abccc& net,
-                                      graph::NodeId current, graph::NodeId dst);
+// Returns nullopt when current == dst. Serves equal-radix (Abccc, Bccc) and
+// mixed-radix deployments alike.
 std::optional<ServerHop> AbcccNextHop(const topo::GeneralAbccc& net,
                                       graph::NodeId current, graph::NodeId dst);
 
@@ -80,8 +78,6 @@ Route ForwardWalk(graph::NodeId src, graph::NodeId dst, NextHopFn&& next_hop,
 }
 
 // Convenience wrappers with the topology's own route-length bound as budget.
-Route AbcccForwardRoute(const topo::Abccc& net, graph::NodeId src,
-                        graph::NodeId dst);
 Route AbcccForwardRoute(const topo::GeneralAbccc& net, graph::NodeId src,
                         graph::NodeId dst);
 Route BcubeForwardRoute(const topo::Bcube& net, graph::NodeId src,

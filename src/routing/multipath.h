@@ -15,8 +15,6 @@ namespace dcn::routing {
 // sequential level order (each differing level gets to go first), so the
 // first corrected plane — and therefore the initial level switch — differs
 // between candidates. Same-row pairs yield the single crossbar route.
-std::vector<Route> RotatedLevelOrderRoutes(const topo::Abccc& net,
-                                           graph::NodeId src, graph::NodeId dst);
 std::vector<Route> RotatedLevelOrderRoutes(const topo::GeneralAbccc& net,
                                            graph::NodeId src, graph::NodeId dst);
 

@@ -21,7 +21,7 @@ enum class PermutationStrategy {
   kSequential,
   // Grouped by agent role with the source's group first and the
   // destination's last: minimizes crossbar hops for a single flow. This is
-  // Abccc::DefaultLevelOrder and the library default.
+  // GeneralAbccc::DefaultLevelOrder and the library default.
   kGroupedFromSource,
   // Uniformly random order: pays extra crossbar hops but decorrelates link
   // usage across flows (the load-balancing end of the trade-off).

@@ -1,27 +1,19 @@
 // ABCCC(n, k, c) — Advanced BCube Connected Crossbars (Li & Yang, ICDCS'15;
-// journal name GBC3). See DESIGN.md §1 for the reconstruction notes.
+// journal name GBC3): k+1 digits of base n, servers with c NIC ports.
 //
-// Construction summary:
-//   * Addresses: server ⟨a_k..a_0; j⟩ with digits a_i ∈ [0,n) and role
-//     j ∈ [0,m), m = ceil((k+1)/(c-1)). The m servers sharing a digit vector
-//     form a *row* attached to one local crossbar switch (radix m, present
-//     when m >= 2).
-//   * Server ⟨a; j⟩ is the row's *agent* for levels [j(c-1), j(c-1)+c-2]∩[0,k]
-//     and has one link to each of those levels' switches.
-//   * The level-l switch identified by the k remaining digits connects the n
-//     agent servers whose addresses differ only in digit l (radix n).
-// c = 2 is BCCC(n, k); c >= k+2 degenerates to BCube(n, k).
+// This is the equal-radix case of GeneralAbccc (gabccc.h), which holds the
+// one construction, addressing, routing and labelling of the family (see the
+// summary there). Abccc adds only the paper's (n, k, c) parameter view, its
+// name and its description; node ids and edge ids are GeneralAbccc's for the
+// radices [n]*(k+1). c = 2 is BCCC(n, k) (bccc.h); c >= k+2 degenerates to
+// BCube(n, k).
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <utility>
-#include <vector>
 
-#include "common/error.h"
-#include "topology/address.h"
-#include "topology/topology.h"
+#include "topology/gabccc.h"
 
 namespace dcn::topo {
 
@@ -34,13 +26,9 @@ struct AbcccParams {
   // in 64-bit ids.
   void Validate() const;
 
-  int DigitCount() const { return k + 1; }
-  // Radix of the given level's digit/switches (uniform: always n). Mirrors
-  // GeneralAbcccParams::LevelRadix so generic routing code works on both.
-  int LevelRadix(int level) const {
-    DCN_REQUIRE(level >= 0 && level <= k, "level out of range");
-    return n;
-  }
+  // The same network as per-level radices: [n]*(k+1).
+  GeneralAbcccParams General() const;
+
   // Row length m = ceil((k+1) / (c-1)).
   int RowLength() const { return (k + c - 1) / (c - 1); }
   bool HasCrossbars() const { return RowLength() >= 2; }
@@ -51,73 +39,26 @@ struct AbcccParams {
   // NIC ports a server of the given role actually uses.
   int PortsUsed(int role) const;
 
-  std::uint64_t RowCount() const;          // n^(k+1)
+  std::uint64_t RowCount() const;  // n^(k+1)
+  // GeneralAbcccParams' overflow-checked totals for General().
   std::uint64_t ServerTotal() const;       // m * n^(k+1)
   std::uint64_t CrossbarTotal() const;     // n^(k+1) if m >= 2 else 0
   std::uint64_t LevelSwitchTotal() const;  // (k+1) * n^k
   std::uint64_t LinkTotal() const;
 };
 
-struct AbcccAddress {
-  Digits digits;  // size k+1, little-endian (digits[l] = a_l)
-  int role = 0;   // j in [0, m)
-};
-
-class Abccc : public Topology {
+class Abccc : public GeneralAbccc {
  public:
   explicit Abccc(AbcccParams params);
 
-  const AbcccParams& Params() const { return params_; }
+  // The (n, k, c) view; GeneralAbccc::Params() holds the radices.
+  const AbcccParams& Params() const { return uniform_; }
 
-  // -- Address <-> node id mapping ------------------------------------------
-  graph::NodeId ServerAt(std::span<const int> digits, int role) const;
-  graph::NodeId ServerAtRow(std::uint64_t row, int role) const;
-  AbcccAddress AddressOf(graph::NodeId server) const;
-  std::uint64_t RowOf(graph::NodeId server) const;
-  // Requires HasCrossbars().
-  graph::NodeId CrossbarAt(std::uint64_t row) const;
-  // The level-`level` switch serving the row with these digits.
-  graph::NodeId LevelSwitchAt(int level, std::span<const int> digits) const;
-  // Switch classification (for link-usage breakdowns).
-  bool IsCrossbar(graph::NodeId node) const;
-  // The level a level switch belongs to; throws for servers/crossbars.
-  int LevelOfSwitch(graph::NodeId node) const;
-
-  // -- Routing ---------------------------------------------------------------
-  // Core digit-fixing walk. `level_order` must be a permutation of exactly
-  // the levels where src and dst digits differ; the route fixes them in that
-  // order, hopping through the local crossbar whenever the next level's agent
-  // is a different row member. Worst case 4*|order| + 2 links.
-  std::vector<graph::NodeId> RouteWithLevelOrder(
-      graph::NodeId src, graph::NodeId dst,
-      std::span<const int> level_order) const;
-
-  // The default level order: differing levels grouped by agent role, with the
-  // source's agent group first and the destination's last, which provably
-  // minimizes crossbar detours for this walk (see routing/permutation.h for
-  // the alternatives this is benchmarked against).
-  std::vector<int> DefaultLevelOrder(const AbcccAddress& src,
-                                     const AbcccAddress& dst) const;
-
-  // -- Topology interface ------------------------------------------------
   std::string Name() const override { return "ABCCC"; }
   std::string Describe() const override;
-  std::string NodeLabel(graph::NodeId node) const override;
-  std::vector<graph::NodeId> Route(graph::NodeId src,
-                                   graph::NodeId dst) const override;
-  int ServerPorts() const override;
-  int RouteLengthBound() const override;
-  double TheoreticalBisection() const override;
 
  private:
-  void Build();
-  void CheckServer(graph::NodeId node) const;
-
-  AbcccParams params_;
-  std::uint64_t server_total_ = 0;
-  std::uint64_t crossbar_base_ = 0;      // first crossbar node id
-  std::uint64_t level_switch_base_ = 0;  // first level-switch node id
-  std::uint64_t level_stride_ = 0;       // n^k switches per level
+  AbcccParams uniform_;
 };
 
 }  // namespace dcn::topo

@@ -20,23 +20,7 @@ std::uint64_t DigitsToIndex(std::span<const int> digits, int base);
 // Inverse of DigitsToIndex for a fixed digit count.
 Digits IndexToDigits(std::uint64_t index, int base, int count);
 
-// Allocation-free twin of IndexToDigits: writes out.size() digits into `out`.
-// Builder hot loops and per-thread scratch reuse one buffer across calls.
-void IndexToDigitsInto(std::uint64_t index, int base, std::span<int> out);
-
-// The level-`pos` digit of `index`: (index / base^pos) % base.
-int DigitAt(std::uint64_t index, int base, int pos);
-
-// `index` with its level-`pos` digit replaced by `digit` — the in-place
-// single-digit update (increment/decrement one level digit without a digit
-// vector round-trip).
-std::uint64_t IndexWithDigit(std::uint64_t index, int base, int pos, int digit);
-
-// DigitsToIndexSkipping computed directly on the packed index, no temporary
-// digit vector: `index` with its level-`pos` digit removed.
-std::uint64_t IndexSkippingDigit(std::uint64_t index, int base, int pos);
-
-// Inverse of IndexSkippingDigit: splice `digit` in at level `pos` of the
+// Inverse of DigitsToIndexSkipping: splice `digit` in at level `pos` of the
 // skip-compressed `rest`. The result must fit 64 bits (callers validate
 // topology sizes up front).
 std::uint64_t IndexInsertingDigit(std::uint64_t rest, int base, int pos,

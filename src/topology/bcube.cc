@@ -37,6 +37,8 @@ void Bcube::Build() {
   server_total_ = params_.ServerTotal();
   level_stride_ = CheckedPow(static_cast<std::uint64_t>(params_.n),
                              static_cast<unsigned>(params_.k));
+  RequireGraphIdRange(CheckedAdd(server_total_, params_.SwitchTotal()),
+                      params_.LinkTotal());
   graph::Graph& g = MutableNetwork();
 
   for (std::uint64_t s = 0; s < server_total_; ++s) {

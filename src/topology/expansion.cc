@@ -1,5 +1,7 @@
 #include "topology/expansion.h"
 
+#include <sstream>
+
 #include "common/error.h"
 
 namespace dcn::topo {
@@ -133,6 +135,75 @@ bool VerifyAbcccExpansion(const Abccc& before, const Abccc& after) {
     for (int level = lo; level <= hi; ++level) {
       const graph::NodeId sw = after.LevelSwitchAt(level, padded);
       if (!net.Adjacent(mapped, sw)) return false;
+    }
+  }
+  return true;
+}
+
+ExpansionStep PlanSliceExpansion(const GeneralAbcccParams& from, int level) {
+  from.Validate();
+  DCN_REQUIRE(level >= 0 && level <= from.Order(),
+              "slice expansion level out of range");
+  GeneralAbcccParams to = from;
+  ++to.radices[level];
+  to.Validate();
+
+  auto describe = [](const GeneralAbcccParams& params) {
+    std::ostringstream out;
+    out << "GeneralABCCC([";
+    for (int l = params.Order(); l >= 0; --l) {
+      out << params.radices[l];
+      if (l > 0) out << ",";
+    }
+    out << "],c=" << params.c << ")";
+    return out.str();
+  };
+
+  ExpansionStep step;
+  step.topology = "GeneralABCCC";
+  step.from = describe(from);
+  step.to = describe(to);
+  step.servers_before = from.ServerTotal();
+  step.servers_after = to.ServerTotal();
+  step.switches_before = from.CrossbarTotal() + from.LevelSwitchTotal();
+  step.switches_after = to.CrossbarTotal() + to.LevelSwitchTotal();
+  step.links_before = from.LinkTotal();
+  step.links_after = to.LinkTotal();
+  // New rows bring their own crossbars and switches; existing level-`level`
+  // switches each accept one new cable into a spare port.
+  step.existing_servers_modified = 0;
+  step.existing_switches_replaced = 0;
+  step.existing_links_recabled = 0;
+  step.crossbar_ports_consumed = from.LevelSwitchCount(level);
+  return step;
+}
+
+bool VerifySliceExpansion(const GeneralAbccc& before, const GeneralAbccc& after) {
+  const GeneralAbcccParams& small = before.Params();
+  const GeneralAbcccParams& big = after.Params();
+  if (small.c != big.c) return false;
+  if (small.radices.size() != big.radices.size()) return false;
+  int grown_levels = 0;
+  for (std::size_t level = 0; level < small.radices.size(); ++level) {
+    if (big.radices[level] < small.radices[level]) return false;
+    if (big.radices[level] > small.radices[level]) ++grown_levels;
+  }
+  if (grown_levels == 0) return true;  // identical networks embed trivially
+
+  const graph::Graph& net = after.Network();
+  for (const graph::NodeId server : before.Servers()) {
+    const AbcccAddress addr = before.AddressOf(server);
+    const graph::NodeId mapped = after.ServerAt(addr.digits, addr.role);
+    if (small.HasCrossbars()) {
+      if (!net.Adjacent(mapped, after.CrossbarAt(after.RowOf(mapped)))) {
+        return false;
+      }
+    }
+    const auto [lo, hi] = small.AgentLevels(addr.role);
+    for (int level = lo; level <= hi; ++level) {
+      if (!net.Adjacent(mapped, after.LevelSwitchAt(level, addr.digits))) {
+        return false;
+      }
     }
   }
   return true;

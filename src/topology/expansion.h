@@ -77,4 +77,15 @@ ExpansionStep PlanFatTreeExpansion(const FatTreeParams& from);
 // Returns true iff the old deployment survives expansion untouched.
 bool VerifyAbcccExpansion(const Abccc& before, const Abccc& after);
 
+// Slice expansion of a mixed-radix ABCCC: raise one level's radix by one (add
+// a slice of rows plus that level's extra switch ports — modeled like
+// crossbars as spare ports on switches purchased at target radix). Existing
+// hardware is untouched.
+ExpansionStep PlanSliceExpansion(const GeneralAbcccParams& from, int level);
+
+// Embedding check mirroring VerifyAbcccExpansion: `before` must equal
+// `after` except for one level's smaller radix; verifies every existing link
+// survives under the identity address embedding.
+bool VerifySliceExpansion(const GeneralAbccc& before, const GeneralAbccc& after);
+
 }  // namespace dcn::topo

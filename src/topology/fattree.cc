@@ -3,17 +3,19 @@
 #include <sstream>
 
 #include "common/error.h"
+#include "topology/address.h"
 
 namespace dcn::topo {
 
 void FatTreeParams::Validate() const {
   DCN_REQUIRE(k >= 2, "fat-tree requires switch radix k >= 2");
   DCN_REQUIRE(k % 2 == 0, "fat-tree requires even switch radix");
+  (void)LinkTotal();
 }
 
 std::uint64_t FatTreeParams::ServerTotal() const {
   const auto kk = static_cast<std::uint64_t>(k);
-  return kk * kk * kk / 4;
+  return CheckedMul(kk * kk, kk) / 4;
 }
 
 std::uint64_t FatTreeParams::SwitchTotal() const {
@@ -21,7 +23,9 @@ std::uint64_t FatTreeParams::SwitchTotal() const {
   return kk * kk + (kk / 2) * (kk / 2);
 }
 
-std::uint64_t FatTreeParams::LinkTotal() const { return 3 * ServerTotal(); }
+std::uint64_t FatTreeParams::LinkTotal() const {
+  return CheckedMul(3, ServerTotal());
+}
 
 FatTree::FatTree(FatTreeParams params) : params_(params) {
   params_.Validate();
@@ -32,6 +36,8 @@ void FatTree::Build() {
   const int k = params_.k;
   const int half = params_.Half();
   server_total_ = params_.ServerTotal();
+  RequireGraphIdRange(CheckedAdd(server_total_, params_.SwitchTotal()),
+                      params_.LinkTotal());
 
   graph::Graph& g = MutableNetwork();
   for (std::uint64_t s = 0; s < server_total_; ++s) {

@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "common/error.h"
+#include "topology/address.h"
 
 namespace dcn::topo {
 
@@ -73,6 +74,8 @@ void FiConn::Build() {
   t_.resize(static_cast<std::size_t>(params_.k + 1));
   for (int l = 0; l <= params_.k; ++l) t_[l] = params_.ServersAtLevel(l);
   server_total_ = t_[params_.k];
+  RequireGraphIdRange(CheckedAdd(server_total_, params_.SwitchTotal()),
+                      params_.LinkTotal());
 
   graph::Graph& g = MutableNetwork();
   for (std::uint64_t s = 0; s < server_total_; ++s) {

@@ -1,7 +1,6 @@
 #include "topology/gabccc.h"
 
 #include <algorithm>
-#include <limits>
 #include <sstream>
 
 #include "common/error.h"
@@ -9,17 +8,21 @@
 namespace dcn::topo {
 
 void GeneralAbcccParams::Validate() const {
-  DCN_REQUIRE(!radices.empty(), "GeneralABCCC needs at least one level");
+  DCN_REQUIRE(!radices.empty(), "ABCCC needs at least one level");
   for (int radix : radices) {
     DCN_REQUIRE(radix >= 2, "every level radix must be >= 2");
   }
-  DCN_REQUIRE(c >= 2, "GeneralABCCC requires servers with c >= 2 NIC ports");
+  DCN_REQUIRE(c >= 2, "ABCCC requires servers with c >= 2 NIC ports");
+  // Evaluate the derived counts to trigger the overflow checks early: switch
+  // and link ids must fit 64 bits too (a huge-but-server-valid shape whose
+  // link count wraps would corrupt every downstream total).
   (void)ServerTotal();
+  (void)LevelSwitchTotal();
+  (void)LinkTotal();
 }
 
 int GeneralAbcccParams::RowLength() const {
-  const int digits = DigitCount();
-  return (digits + c - 2) / (c - 1);
+  return (DigitCount() + c - 2) / (c - 1);
 }
 
 std::pair<int, int> GeneralAbcccParams::AgentLevels(int role) const {
@@ -32,10 +35,7 @@ std::pair<int, int> GeneralAbcccParams::AgentLevels(int role) const {
 std::uint64_t GeneralAbcccParams::RowCount() const {
   std::uint64_t rows = 1;
   for (int radix : radices) {
-    DCN_REQUIRE(rows <= std::numeric_limits<std::uint64_t>::max() /
-                            static_cast<std::uint64_t>(radix),
-                "GeneralABCCC size overflows");
-    rows *= static_cast<std::uint64_t>(radix);
+    rows = CheckedMul(rows, static_cast<std::uint64_t>(radix));
   }
   return rows;
 }
@@ -52,14 +52,14 @@ std::uint64_t GeneralAbcccParams::CrossbarTotal() const {
 }
 
 std::uint64_t GeneralAbcccParams::LevelSwitchCount(int level) const {
-  DCN_REQUIRE(level >= 0 && level <= Order(), "level out of range");
-  return RowCount() / static_cast<std::uint64_t>(radices[level]);
+  return RowCount() / static_cast<std::uint64_t>(LevelRadix(level));
 }
 
 std::uint64_t GeneralAbcccParams::LevelSwitchTotal() const {
+  const std::uint64_t rows = RowCount();
   std::uint64_t total = 0;
-  for (int level = 0; level <= Order(); ++level) {
-    total += LevelSwitchCount(level);
+  for (int radix : radices) {
+    total = CheckedAdd(total, rows / static_cast<std::uint64_t>(radix));
   }
   return total;
 }
@@ -67,8 +67,9 @@ std::uint64_t GeneralAbcccParams::LevelSwitchTotal() const {
 std::uint64_t GeneralAbcccParams::LinkTotal() const {
   // Each level contributes one link per row (its switches' ports sum to the
   // row count); crossbars add one link per server.
-  return static_cast<std::uint64_t>(DigitCount()) * RowCount() +
-         (HasCrossbars() ? ServerTotal() : 0);
+  return CheckedAdd(
+      CheckedMul(static_cast<std::uint64_t>(DigitCount()), RowCount()),
+      HasCrossbars() ? ServerTotal() : 0);
 }
 
 GeneralAbccc::GeneralAbccc(GeneralAbcccParams params) : params_(std::move(params)) {
@@ -77,55 +78,63 @@ GeneralAbccc::GeneralAbccc(GeneralAbcccParams params) : params_(std::move(params
 }
 
 void GeneralAbccc::Build() {
-  const int m = params_.RowLength();
   const int k = params_.Order();
-  const std::uint64_t rows = params_.RowCount();
+  const int m = params_.RowLength();
+  row_total_ = params_.RowCount();
   server_total_ = params_.ServerTotal();
 
-  weight_.resize(static_cast<std::size_t>(k + 1));
-  std::uint64_t w = 1;
+  weight_.assign(static_cast<std::size_t>(k) + 2, 1);
   for (int level = 0; level <= k; ++level) {
-    weight_[level] = w;
-    w *= static_cast<std::uint64_t>(params_.radices[level]);
-  }
-  level_offset_.resize(static_cast<std::size_t>(k + 1));
-  std::uint64_t offset = 0;
-  for (int level = 0; level <= k; ++level) {
-    level_offset_[level] = offset;
-    offset += params_.LevelSwitchCount(level);
+    weight_[level + 1] =
+        weight_[level] * static_cast<std::uint64_t>(params_.radices[level]);
   }
 
+  // Node id layout: all servers, then crossbars (if any), then level
+  // switches level by level; each block is index-computable so no lookup
+  // tables are needed.
+  crossbar_base_ = server_total_;
+  level_switch_base_ = crossbar_base_ + params_.CrossbarTotal();
+  level_base_.resize(static_cast<std::size_t>(k) + 1);
+  std::uint64_t node_total = level_switch_base_;
+  for (int level = 0; level <= k; ++level) {
+    level_base_[level] = node_total;
+    node_total += params_.LevelSwitchCount(level);
+  }
+  RequireGraphIdRange(node_total, params_.LinkTotal());
+
   graph::Graph& g = MutableNetwork();
-  for (std::uint64_t row = 0; row < rows; ++row) {
-    for (int j = 0; j < m; ++j) g.AddNode(graph::NodeKind::kServer);
+  for (std::uint64_t id = 0; id < server_total_; ++id) {
+    g.AddNode(graph::NodeKind::kServer);
   }
-  crossbar_base_ = g.NodeCount();
-  if (params_.HasCrossbars()) {
-    for (std::uint64_t row = 0; row < rows; ++row) {
-      g.AddNode(graph::NodeKind::kSwitch);
-    }
-  }
-  level_switch_base_ = g.NodeCount();
-  for (std::uint64_t s = 0; s < params_.LevelSwitchTotal(); ++s) {
+  for (std::uint64_t id = server_total_; id < node_total; ++id) {
     g.AddNode(graph::NodeKind::kSwitch);
   }
 
+  // Row-local crossbar links.
   if (params_.HasCrossbars()) {
-    for (std::uint64_t row = 0; row < rows; ++row) {
+    for (std::uint64_t row = 0; row < row_total_; ++row) {
       for (int j = 0; j < m; ++j) {
         g.AddEdge(ServerAtRow(row, j), CrossbarAt(row));
       }
     }
   }
 
-  // Level links: enumerate every row once per level and connect its agent to
-  // the row's level-l switch; each switch is hit radices[l] times, once per
-  // digit value.
+  // Level-switch links: switch (level, b) connects the radices[level] agents
+  // whose rows are b with digit value d spliced in at position `level` — the
+  // splice is pure mixed-radix arithmetic, no digit temporaries.
   for (int level = 0; level <= k; ++level) {
     const int agent = params_.AgentRole(level);
-    for (std::uint64_t row = 0; row < rows; ++row) {
-      const Digits digits = RowToDigits(row);
-      g.AddEdge(ServerAtRow(row, agent), LevelSwitchAt(level, digits));
+    const int radix = params_.radices[level];
+    const std::uint64_t below = weight_[level];
+    const std::uint64_t switches = params_.LevelSwitchCount(level);
+    for (std::uint64_t b = 0; b < switches; ++b) {
+      const std::uint64_t spliced = b / below * weight_[level + 1] + b % below;
+      const auto sw = static_cast<graph::NodeId>(level_base_[level] + b);
+      for (int d = 0; d < radix; ++d) {
+        g.AddEdge(
+            ServerAtRow(spliced + static_cast<std::uint64_t>(d) * below, agent),
+            sw);
+      }
     }
   }
 
@@ -137,21 +146,25 @@ void GeneralAbccc::Build() {
 
 std::uint64_t GeneralAbccc::DigitsToRow(std::span<const int> digits) const {
   DCN_REQUIRE(digits.size() == static_cast<std::size_t>(params_.DigitCount()),
-              "GeneralABCCC address needs k+1 digits");
+              "ABCCC address needs k+1 digits");
   std::uint64_t row = 0;
-  for (int level = 0; level <= params_.Order(); ++level) {
-    DCN_REQUIRE(digits[level] >= 0 && digits[level] < params_.radices[level],
+  for (int level = params_.Order(); level >= 0; --level) {
+    const int radix = params_.radices[level];
+    DCN_REQUIRE(digits[level] >= 0 && digits[level] < radix,
                 "digit out of range for its level radix");
-    row += static_cast<std::uint64_t>(digits[level]) * weight_[level];
+    row = row * static_cast<std::uint64_t>(radix) +
+          static_cast<std::uint64_t>(digits[level]);
   }
   return row;
 }
 
 Digits GeneralAbccc::RowToDigits(std::uint64_t row) const {
+  DCN_REQUIRE(row < row_total_, "row index out of range");
   Digits digits(static_cast<std::size_t>(params_.DigitCount()));
   for (int level = 0; level <= params_.Order(); ++level) {
-    digits[level] = static_cast<int>(
-        (row / weight_[level]) % static_cast<std::uint64_t>(params_.radices[level]));
+    const auto radix = static_cast<std::uint64_t>(params_.radices[level]);
+    digits[level] = static_cast<int>(row % radix);
+    row /= radix;
   }
   return digits;
 }
@@ -161,7 +174,7 @@ graph::NodeId GeneralAbccc::ServerAt(std::span<const int> digits, int role) cons
 }
 
 graph::NodeId GeneralAbccc::ServerAtRow(std::uint64_t row, int role) const {
-  DCN_REQUIRE(row < params_.RowCount(), "row index out of range");
+  DCN_REQUIRE(row < row_total_, "row index out of range");
   DCN_REQUIRE(role >= 0 && role < params_.RowLength(), "role out of range");
   return static_cast<graph::NodeId>(
       row * static_cast<std::uint64_t>(params_.RowLength()) +
@@ -182,23 +195,22 @@ std::uint64_t GeneralAbccc::RowOf(graph::NodeId server) const {
 }
 
 graph::NodeId GeneralAbccc::CrossbarAt(std::uint64_t row) const {
-  DCN_REQUIRE(params_.HasCrossbars(), "this instance has no crossbars");
-  DCN_REQUIRE(row < params_.RowCount(), "row index out of range");
+  DCN_REQUIRE(params_.HasCrossbars(), "this ABCCC instance has no crossbars");
+  DCN_REQUIRE(row < row_total_, "row index out of range");
   return static_cast<graph::NodeId>(crossbar_base_ + row);
 }
 
 graph::NodeId GeneralAbccc::LevelSwitchAt(int level,
                                           std::span<const int> digits) const {
   DCN_REQUIRE(level >= 0 && level <= params_.Order(), "level out of range");
-  // Mixed-radix index over the other digits: divide the row index's level-l
-  // component out.
-  const std::uint64_t row = DigitsToRow(digits);
-  const auto radix = static_cast<std::uint64_t>(params_.radices[level]);
-  const std::uint64_t below = row % weight_[level];
-  const std::uint64_t above = row / (weight_[level] * radix);
-  const std::uint64_t index = above * weight_[level] + below;
-  return static_cast<graph::NodeId>(level_switch_base_ + level_offset_[level] +
-                                    index);
+  return LevelSwitchOfRow(level, DigitsToRow(digits));
+}
+
+graph::NodeId GeneralAbccc::LevelSwitchOfRow(int level, std::uint64_t row) const {
+  // The mixed-radix number of the other digits: cut digit `level` out.
+  const std::uint64_t below = weight_[level];
+  return static_cast<graph::NodeId>(
+      level_base_[level] + row / weight_[level + 1] * below + row % below);
 }
 
 bool GeneralAbccc::IsCrossbar(graph::NodeId node) const {
@@ -210,79 +222,95 @@ int GeneralAbccc::LevelOfSwitch(graph::NodeId node) const {
   const auto id = static_cast<std::uint64_t>(node);
   DCN_REQUIRE(id >= level_switch_base_ && id < Network().NodeCount(),
               "node is not a level switch");
-  const std::uint64_t rel = id - level_switch_base_;
-  int level = params_.Order();
-  while (level > 0 && rel < level_offset_[level]) --level;
-  return level;
+  return static_cast<int>(
+      std::upper_bound(level_base_.begin(), level_base_.end(), id) -
+      level_base_.begin() - 1);
 }
 
 std::vector<graph::NodeId> GeneralAbccc::RouteWithLevelOrder(
     graph::NodeId src, graph::NodeId dst, std::span<const int> level_order) const {
-  CheckServer(src);
-  CheckServer(dst);
   const AbcccAddress from = AddressOf(src);
   const AbcccAddress to = AddressOf(dst);
 
-  std::vector<bool> mentioned(static_cast<std::size_t>(params_.DigitCount()),
-                              false);
+  // The order must mention exactly the differing levels, once each. Fewer
+  // than 64 digits fit a 64-bit row count, so one mask word tracks them.
+  std::uint64_t mentioned = 0;
   for (int level : level_order) {
     DCN_REQUIRE(level >= 0 && level <= params_.Order(),
                 "level out of range in order");
-    DCN_REQUIRE(!mentioned[level], "duplicate level in order");
+    DCN_REQUIRE((mentioned >> level & 1) == 0, "duplicate level in order");
     DCN_REQUIRE(from.digits[level] != to.digits[level],
                 "level order contains a non-differing level");
-    mentioned[level] = true;
+    mentioned |= std::uint64_t{1} << level;
   }
-  DCN_REQUIRE(static_cast<int>(level_order.size()) ==
-                  HammingDistance(from.digits, to.digits),
+  int differing = 0;
+  for (int level = 0; level <= params_.Order(); ++level) {
+    differing += from.digits[level] != to.digits[level] ? 1 : 0;
+  }
+  DCN_REQUIRE(static_cast<int>(level_order.size()) == differing,
               "level order must cover every differing level");
+  return Walk(src, dst, from, to, level_order);
+}
 
-  std::vector<graph::NodeId> hops{src};
-  Digits digits = from.digits;
+std::vector<graph::NodeId> GeneralAbccc::Walk(
+    graph::NodeId src, graph::NodeId dst, const AbcccAddress& from,
+    const AbcccAddress& to, std::span<const int> level_order) const {
+  // Exact hop count: two per fixed level, two per crossbar reposition.
+  std::size_t hop_count = 1 + 2 * level_order.size();
   int role = from.role;
+  for (int level : level_order) {
+    const int agent = params_.AgentRole(level);
+    hop_count += agent != role ? 2 : 0;
+    role = agent;
+  }
+  hop_count += to.role != role ? 2 : 0;
+
+  std::vector<graph::NodeId> hops;
+  hops.reserve(hop_count);
+  hops.push_back(src);
+  std::uint64_t row = static_cast<std::uint64_t>(src) /
+                      static_cast<std::uint64_t>(params_.RowLength());
+  role = from.role;
   auto move_to_role = [&](int target_role) {
     if (role == target_role) return;
-    const std::uint64_t row = DigitsToRow(digits);
     hops.push_back(CrossbarAt(row));
     hops.push_back(ServerAtRow(row, target_role));
     role = target_role;
   };
   for (int level : level_order) {
     move_to_role(params_.AgentRole(level));
-    hops.push_back(LevelSwitchAt(level, digits));
-    digits[level] = to.digits[level];
-    hops.push_back(ServerAt(digits, role));
+    hops.push_back(LevelSwitchOfRow(level, row));
+    row = row - static_cast<std::uint64_t>(from.digits[level]) * weight_[level] +
+          static_cast<std::uint64_t>(to.digits[level]) * weight_[level];
+    hops.push_back(ServerAtRow(row, role));
   }
   move_to_role(to.role);
-  DCN_ASSERT(hops.back() == dst);
+  DCN_ASSERT(hops.back() == dst && hops.size() == hop_count);
   return hops;
 }
 
 std::vector<int> GeneralAbccc::DefaultLevelOrder(const AbcccAddress& src,
                                                  const AbcccAddress& dst) const {
-  // Same grouped rotation as Abccc::DefaultLevelOrder (see there for why).
-  std::vector<int> differing;
-  for (int level = 0; level <= params_.Order(); ++level) {
-    if (src.digits[level] != dst.digits[level]) differing.push_back(level);
-  }
+  // Bucket differing levels by agent role. Ascending level order already
+  // groups (agent = level / (c-1) is monotone), so we only reorder groups:
+  // the group owned by src's role goes first (saves the initial crossbar
+  // hop), dst's role group goes last (saves the final one).
   std::vector<int> order;
-  order.reserve(differing.size());
-  auto role_of = [&](int level) { return params_.AgentRole(level); };
-  for (int level : differing) {
-    if (role_of(level) == src.role) order.push_back(level);
-  }
-  for (int level : differing) {
-    const int r = role_of(level);
-    if (r != src.role && (r != dst.role || dst.role == src.role)) {
-      order.push_back(level);
+  auto append = [&](auto&& wanted) {
+    for (int level = 0; level <= params_.Order(); ++level) {
+      if (src.digits[level] != dst.digits[level] &&
+          wanted(params_.AgentRole(level))) {
+        order.push_back(level);
+      }
     }
-  }
+  };
+  append([&](int role) { return role == src.role; });
+  append([&](int role) {
+    return role != src.role && (role != dst.role || dst.role == src.role);
+  });
   if (dst.role != src.role) {
-    for (int level : differing) {
-      if (role_of(level) == dst.role) order.push_back(level);
-    }
+    append([&](int role) { return role == dst.role; });
   }
-  DCN_ASSERT(order.size() == differing.size());
   return order;
 }
 
@@ -301,31 +329,45 @@ std::string GeneralAbccc::NodeLabel(graph::NodeId node) const {
   DCN_REQUIRE(node >= 0 && static_cast<std::size_t>(node) < Network().NodeCount(),
               "node id out of range");
   const auto id = static_cast<std::uint64_t>(node);
-  std::ostringstream out;
-  const int max_radix =
+  // DigitsToString dots the digits when its base exceeds 10.
+  const int base =
       *std::max_element(params_.radices.begin(), params_.radices.end());
+  std::ostringstream out;
   if (id < server_total_) {
     const AbcccAddress addr = AddressOf(node);
-    out << "<" << DigitsToString(addr.digits, std::max(2, max_radix)) << ";"
-        << addr.role << ">";
+    out << "<" << DigitsToString(addr.digits, base) << ";" << addr.role << ">";
   } else if (id < level_switch_base_) {
-    out << "X(" << DigitsToString(RowToDigits(id - crossbar_base_),
-                                  std::max(2, max_radix))
-        << ")";
+    out << "X(" << DigitsToString(RowToDigits(id - crossbar_base_), base) << ")";
   } else {
-    // Find the level this switch belongs to.
-    const std::uint64_t rel = id - level_switch_base_;
-    int level = params_.Order();
-    while (level > 0 && rel < level_offset_[level]) --level;
-    out << "S" << level << "(#" << rel - level_offset_[level] << ")";
+    // Decode the other digits, then render with '*' at the level position.
+    const int level = LevelOfSwitch(node);
+    std::uint64_t rest = id - level_base_[level];
+    Digits digits(static_cast<std::size_t>(params_.DigitCount()), 0);
+    for (int l = 0; l <= params_.Order(); ++l) {
+      if (l == level) continue;
+      const auto radix = static_cast<std::uint64_t>(params_.radices[l]);
+      digits[l] = static_cast<int>(rest % radix);
+      rest /= radix;
+    }
+    out << "S" << level << "(";
+    for (int l = params_.Order(); l >= 0; --l) {
+      if (l == level) {
+        out << "*";
+      } else {
+        out << digits[l];
+      }
+      if (base > 10 && l > 0) out << ".";
+    }
+    out << ")";
   }
   return out.str();
 }
 
 std::vector<graph::NodeId> GeneralAbccc::Route(graph::NodeId src,
                                                graph::NodeId dst) const {
-  return RouteWithLevelOrder(src, dst,
-                             DefaultLevelOrder(AddressOf(src), AddressOf(dst)));
+  const AbcccAddress from = AddressOf(src);
+  const AbcccAddress to = AddressOf(dst);
+  return Walk(src, dst, from, to, DefaultLevelOrder(from, to));
 }
 
 int GeneralAbccc::ServerPorts() const {
@@ -335,11 +377,15 @@ int GeneralAbccc::ServerPorts() const {
 }
 
 int GeneralAbccc::RouteLengthBound() const {
+  // Per differing level: <= 2 (crossbar reposition) + 2 (level switch), plus
+  // a final reposition. The default order saves the first/last reposition,
+  // but the bound covers any order.
   return 4 * params_.DigitCount() + 2;
 }
 
 double GeneralAbccc::TheoreticalBisection() const {
-  // Cut on the most significant digit.
+  // Cut on the most significant digit: each level-k switch has
+  // floor(radices[k]/2) links toward the smaller side.
   const int k = params_.Order();
   return static_cast<double>(params_.LevelSwitchCount(k)) *
          static_cast<double>(params_.radices[k] / 2);
@@ -347,76 +393,7 @@ double GeneralAbccc::TheoreticalBisection() const {
 
 void GeneralAbccc::CheckServer(graph::NodeId node) const {
   DCN_REQUIRE(node >= 0 && static_cast<std::uint64_t>(node) < server_total_,
-              "node is not a server of this GeneralABCCC network");
-}
-
-ExpansionStep PlanSliceExpansion(const GeneralAbcccParams& from, int level) {
-  from.Validate();
-  DCN_REQUIRE(level >= 0 && level <= from.Order(),
-              "slice expansion level out of range");
-  GeneralAbcccParams to = from;
-  ++to.radices[level];
-  to.Validate();
-
-  auto describe = [](const GeneralAbcccParams& params) {
-    std::ostringstream out;
-    out << "GeneralABCCC([";
-    for (int l = params.Order(); l >= 0; --l) {
-      out << params.radices[l];
-      if (l > 0) out << ",";
-    }
-    out << "],c=" << params.c << ")";
-    return out.str();
-  };
-
-  ExpansionStep step;
-  step.topology = "GeneralABCCC";
-  step.from = describe(from);
-  step.to = describe(to);
-  step.servers_before = from.ServerTotal();
-  step.servers_after = to.ServerTotal();
-  step.switches_before = from.CrossbarTotal() + from.LevelSwitchTotal();
-  step.switches_after = to.CrossbarTotal() + to.LevelSwitchTotal();
-  step.links_before = from.LinkTotal();
-  step.links_after = to.LinkTotal();
-  // New rows bring their own crossbars and switches; existing level-`level`
-  // switches each accept one new cable into a spare port.
-  step.existing_servers_modified = 0;
-  step.existing_switches_replaced = 0;
-  step.existing_links_recabled = 0;
-  step.crossbar_ports_consumed = from.LevelSwitchCount(level);
-  return step;
-}
-
-bool VerifySliceExpansion(const GeneralAbccc& before, const GeneralAbccc& after) {
-  const GeneralAbcccParams& small = before.Params();
-  const GeneralAbcccParams& big = after.Params();
-  if (small.c != big.c) return false;
-  if (small.radices.size() != big.radices.size()) return false;
-  int grown_levels = 0;
-  for (std::size_t level = 0; level < small.radices.size(); ++level) {
-    if (big.radices[level] < small.radices[level]) return false;
-    if (big.radices[level] > small.radices[level]) ++grown_levels;
-  }
-  if (grown_levels == 0) return true;  // identical networks embed trivially
-
-  const graph::Graph& net = after.Network();
-  for (const graph::NodeId server : before.Servers()) {
-    const AbcccAddress addr = before.AddressOf(server);
-    const graph::NodeId mapped = after.ServerAt(addr.digits, addr.role);
-    if (small.HasCrossbars()) {
-      if (!net.Adjacent(mapped, after.CrossbarAt(after.RowOf(mapped)))) {
-        return false;
-      }
-    }
-    const auto [lo, hi] = small.AgentLevels(addr.role);
-    for (int level = lo; level <= hi; ++level) {
-      if (!net.Adjacent(mapped, after.LevelSwitchAt(level, addr.digits))) {
-        return false;
-      }
-    }
-  }
-  return true;
+              "node is not a server of this ABCCC network");
 }
 
 }  // namespace dcn::topo

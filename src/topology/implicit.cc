@@ -138,8 +138,9 @@ graph::NodeId ImplicitCube::LevelSwitchAt(int level,
 std::vector<graph::NodeId> ImplicitCube::RouteWithLevelOrder(
     graph::NodeId src, graph::NodeId dst,
     std::span<const int> level_order) const {
-  // Same digit-fixing walk as Abccc::RouteWithLevelOrder; with m == 1 the
-  // role moves degenerate away and it reduces to Bcube's switch-server walk.
+  // Same digit-fixing walk as GeneralAbccc::RouteWithLevelOrder; with m == 1
+  // the role moves degenerate away and it reduces to Bcube's switch-server
+  // walk.
   CheckServer(src);
   CheckServer(dst);
   const AbcccAddress from = AddressOf(src);
@@ -181,8 +182,8 @@ std::vector<graph::NodeId> ImplicitCube::Route(graph::NodeId src,
       if (from.digits[level] != to.digits[level]) order.push_back(level);
     }
   } else {
-    // Abccc::DefaultLevelOrder: differing levels bucketed by agent role,
-    // src's group first, dst's last.
+    // GeneralAbccc::DefaultLevelOrder: differing levels bucketed by agent
+    // role, src's group first, dst's last.
     std::vector<int> differing;
     for (int level = 0; level <= params_.k; ++level) {
       if (from.digits[level] != to.digits[level]) differing.push_back(level);
@@ -213,7 +214,7 @@ int ImplicitCube::ServerPorts() const {
 }
 
 int ImplicitCube::RouteLengthBound() const {
-  // Bcube::RouteLengthBound vs Abccc::RouteLengthBound.
+  // Bcube::RouteLengthBound vs GeneralAbccc::RouteLengthBound.
   return family_ == CubeFamily::kBcube ? 2 * (params_.k + 1)
                                        : 4 * (params_.k + 1) + 2;
 }

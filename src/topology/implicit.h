@@ -9,11 +9,12 @@
 // traversal workspaces (O(V) bits), never the O(E) adjacency arrays.
 //
 // Identity contract: for equal parameters, ImplicitCube assigns exactly the
-// node ids the materialized builders (Abccc/Bccc/Bcube) assign — servers
-// [0, S) as row*m + role, then crossbars, then level switches — and
-// ForEachNeighbor enumerates neighbors in exactly the builders' edge
-// insertion order (server: crossbar first, then agent levels ascending;
-// crossbar: roles ascending; level switch: spliced digit d ascending).
+// node ids the materialized builders assign — GeneralAbccc with equal radices
+// (which Abccc and Bccc are) and Bcube: servers [0, S) as row*m + role, then
+// crossbars, then level switches — and ForEachNeighbor enumerates neighbors
+// in exactly the builders' edge insertion order (server: crossbar first, then
+// agent levels ascending; crossbar: roles ascending; level switch: spliced
+// digit d ascending).
 // Traversals over the two representations are therefore bit-identical,
 // pinned per family by tests/test_implicit.cc.
 //

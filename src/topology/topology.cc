@@ -1,8 +1,19 @@
 #include "topology/topology.h"
 
+#include <limits>
+
 #include "common/error.h"
 
 namespace dcn::topo {
+
+void RequireGraphIdRange(std::uint64_t nodes, std::uint64_t links) {
+  DCN_REQUIRE(nodes <= static_cast<std::uint64_t>(
+                           std::numeric_limits<graph::NodeId>::max()),
+              "topology node count overflows 32-bit node ids");
+  DCN_REQUIRE(links <= static_cast<std::uint64_t>(
+                           std::numeric_limits<graph::EdgeId>::max()),
+              "topology link count overflows 32-bit edge ids");
+}
 
 std::pair<std::vector<graph::NodeId>, std::vector<graph::NodeId>>
 Topology::BisectionHalves() const {

@@ -6,6 +6,7 @@
 // baselines (BCube, DCell, fat-tree, BCCC) are interchangeable.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <utility>
@@ -14,6 +15,13 @@
 #include "graph/graph.h"
 
 namespace dcn::topo {
+
+// Throws InvalidArgument unless `nodes` nodes and `links` links fit
+// graph::NodeId and graph::EdgeId. Materialized builders call it before their
+// first AddNode, so a shape that validates (its totals fit 64 bits) but
+// cannot be indexed fails at once instead of growing the graph until memory
+// runs out.
+void RequireGraphIdRange(std::uint64_t nodes, std::uint64_t links);
 
 class Topology {
  public:

@@ -44,6 +44,22 @@ TEST(FactoryTest, GabcccSpecParsesDottedRadices) {
   EXPECT_THROW(MakeTopology("gabccc:c=2"), dcn::InvalidArgument);
 }
 
+TEST(FactoryTest, ShapesBeyondNodeIdsAreRejectedBeforeBuilding) {
+  // Each of these validates (its totals fit 64 bits) but has more nodes than
+  // graph::NodeId can index; the builder must refuse before allocating.
+  for (const std::string spec :
+       {"abccc:n=64,k=5,c=2", "gabccc:radices=64.64.64.64.64.64,c=2",
+        "bcube:n=64,k=6", "dcell:n=64,k=3", "fattree:k=4096"}) {
+    try {
+      MakeTopology(spec);
+      ADD_FAILURE() << spec << ": expected InvalidArgument";
+    } catch (const dcn::InvalidArgument& e) {
+      EXPECT_NE(std::string{e.what()}.find("32-bit node ids"), std::string::npos)
+          << spec << ": " << e.what();
+    }
+  }
+}
+
 TEST(FactoryTest, BcccSpecYieldsBcccName) {
   EXPECT_EQ(MakeTopology("bccc:n=4,k=1")->Name(), "BCCC");
   EXPECT_EQ(MakeTopology("fattree:k=4")->Name(), "FatTree");

@@ -12,6 +12,8 @@
 #include "routing/multipath.h"
 #include "routing/route.h"
 #include "topology/abccc.h"
+#include "topology/bccc.h"
+#include "topology/expansion.h"
 
 namespace dcn::topo {
 namespace {
@@ -38,28 +40,49 @@ TEST(GeneralAbcccParamsTest, MixedRadixCounts) {
   EXPECT_EQ(p.LinkTotal(), 3u * 24u + 72u);
 }
 
-TEST(GeneralAbcccTest, UniformRadixMatchesAbccc) {
-  const GeneralAbccc general{GeneralAbcccParams{{4, 4, 4}, 2}};
-  const Abccc uniform{AbcccParams{4, 2, 2}};
-  ASSERT_EQ(general.ServerCount(), uniform.ServerCount());
-  ASSERT_EQ(general.SwitchCount(), uniform.SwitchCount());
-  ASSERT_EQ(general.LinkCount(), uniform.LinkCount());
-  // Structurally identical under the shared addressing (edge insertion order
-  // differs, so compare through the address API, not by edge id).
-  for (const graph::NodeId server : uniform.Servers()) {
-    const AbcccAddress a = uniform.AddressOf(server);
-    const AbcccAddress b = general.AddressOf(server);
-    ASSERT_EQ(a.digits, b.digits);
-    ASSERT_EQ(a.role, b.role);
-    ASSERT_EQ(uniform.Network().Degree(server), general.Network().Degree(server));
-    const auto [lo, hi] = uniform.Params().AgentLevels(a.role);
-    for (int level = lo; level <= hi; ++level) {
-      EXPECT_TRUE(general.Network().Adjacent(
-          server, general.LevelSwitchAt(level, b.digits)));
-    }
-    EXPECT_TRUE(general.Network().Adjacent(
-        server, general.CrossbarAt(general.RowOf(server))));
+TEST(GeneralAbcccParamsTest, TotalsOverflowIsRejected) {
+  // 62 binary digits in one-member rows: the 2^62 servers fit, but the
+  // 62 * 2^62 level links (and 31 * 2^62 level switches) do not.
+  const GeneralAbcccParams wide{std::vector<int>(62, 2), 63};
+  EXPECT_THROW(wide.Validate(), dcn::InvalidArgument);
+  EXPECT_THROW((void)wide.LinkTotal(), dcn::InvalidArgument);
+  EXPECT_THROW((void)wide.LevelSwitchTotal(), dcn::InvalidArgument);
+  // The same shape through the uniform parameters.
+  EXPECT_THROW((AbcccParams{2, 61, 63}.Validate()), dcn::InvalidArgument);
+  EXPECT_NO_THROW((GeneralAbcccParams{std::vector<int>(40, 2), 41}.Validate()));
+}
+
+// Equal radices are the paper's ABCCC(n, k, c): same node ids, node kinds,
+// edge ids (endpoint by endpoint) and labels as the uniform view.
+void ExpectSameNetwork(const Abccc& uniform) {
+  const AbcccParams& p = uniform.Params();
+  const GeneralAbccc general{GeneralAbcccParams{
+      std::vector<int>(static_cast<std::size_t>(p.k) + 1, p.n), p.c}};
+  const graph::Graph& a = uniform.Network();
+  const graph::Graph& b = general.Network();
+  ASSERT_EQ(a.NodeCount(), b.NodeCount()) << uniform.Describe();
+  ASSERT_EQ(a.EdgeCount(), b.EdgeCount()) << uniform.Describe();
+  for (graph::NodeId node = 0; static_cast<std::size_t>(node) < a.NodeCount();
+       ++node) {
+    ASSERT_EQ(a.KindOf(node), b.KindOf(node)) << uniform.Describe() << " " << node;
+    ASSERT_EQ(uniform.NodeLabel(node), general.NodeLabel(node))
+        << uniform.Describe();
   }
+  for (graph::EdgeId edge = 0; static_cast<std::size_t>(edge) < a.EdgeCount();
+       ++edge) {
+    ASSERT_EQ(a.Endpoints(edge), b.Endpoints(edge))
+        << uniform.Describe() << " edge " << edge;
+  }
+}
+
+TEST(GeneralAbcccTest, UniformRadixMatchesAbccc) {
+  ExpectSameNetwork(Abccc{AbcccParams{4, 2, 2}});
+  ExpectSameNetwork(Abccc{AbcccParams{3, 2, 3}});
+  ExpectSameNetwork(Bccc{3, 2});
+  ExpectSameNetwork(Abccc{AbcccParams{3, 2, 4}});  // c >= k+2: BCube-shaped
+  // Level-switch labels keep the uniform "S<l>(..*..)" rendering.
+  const Abccc net{AbcccParams{4, 2, 2}};
+  EXPECT_EQ(net.NodeLabel(net.LevelSwitchAt(0, Digits{0, 1, 2})), "S0(21*)");
 }
 
 TEST(GeneralAbcccTest, RowDigitsRoundTrip) {
@@ -125,6 +148,10 @@ TEST(GeneralAbcccTest, DescribeAndLabels) {
   EXPECT_EQ(net.Describe(), "GeneralABCCC(radices=[2,3,4],c=2)");
   EXPECT_EQ(net.Name(), "GeneralABCCC");
   EXPECT_EQ(net.NodeLabel(net.ServerAt(Digits{1, 2, 0}, 1)), "<021;1>");
+  EXPECT_EQ(net.NodeLabel(net.CrossbarAt(net.DigitsToRow(Digits{1, 2, 0}))),
+            "X(021)");
+  EXPECT_EQ(net.NodeLabel(net.LevelSwitchAt(1, Digits{3, 2, 1})), "S1(1*3)");
+  EXPECT_EQ(net.NodeLabel(net.LevelSwitchAt(2, Digits{3, 2, 1})), "S2(*23)");
 }
 
 TEST(SliceExpansionTest, PlanIsPureAddition) {
